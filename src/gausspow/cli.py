@@ -1,8 +1,8 @@
 """Command-line surface: evaluation, table reproduction, sweeps, densities.
 
 Exit codes: 0 success, 1 verified mathematical discrepancy (verify), 2 usage.
-All numeric output is exact or directed-rounded; the float preview mode is
-labeled as such in its output.
+All numeric output is exact or directed-rounded: the density bracket prints
+the exact union density and rounds the tail and the endpoints outward.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from fractions import Fraction
 from .arith import decimal_render, sieve_inert_primes
 from .closed_form import sigma_closed, sigma_expansion
 from .congruence_sets import diagonal_witness
-from .density import (
-    diagonal_bracket,
-    digit_count,
-    union_density_preview,
-    zero_row_density,
-)
+from .density import diagonal_bracket, digit_count, zero_row_density
 from .gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
 from .moser_search import search_solutions
 
@@ -128,13 +123,7 @@ def cmd_density(args) -> int:
         q = zero_row_density(args.k)
         _print_fraction(q, args.digits, args.format, "density")
         return 0
-    if args.preview:
-        fam = sieve_inert_primes(args.primes)
-        approx = union_density_preview(fam)
-        print(f"preview (float, unverified): union ~ {approx!r}, "
-              f"density upper bound ~ {1 - approx!r}")
-        return 0
-    result = diagonal_bracket(args.primes, args.tail_limit, workers=args.workers)
+    result = diagonal_bracket(args.primes, args.tail_limit)
     ell, tail = result.union, result.tail
     lo, hi = result.interval.lower, result.interval.upper
     d = args.digits
@@ -219,17 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     pnk.add_argument("--k", type=int, required=True)
     pnk.add_argument("--digits", type=int, default=19)
     pnk.add_argument("--format", choices=("text", "json"), default="text")
-    pnk.set_defaults(func=cmd_density, target="nk", preview=False)
+    pnk.set_defaults(func=cmd_density, target="nk")
     pm = dsub.add_parser("m", help="bracket the diagonal zero density")
     pm.add_argument("--primes", type=int, default=20)
     pm.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
     pm.add_argument("--digits", type=int, default=19)
-    pm.add_argument("--workers", type=int, default=None)
     pm.add_argument("--format", choices=("text", "json"), default="text")
-    mode = pm.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="preview", action="store_false")
-    mode.add_argument("--preview", dest="preview", action="store_true")
-    pm.set_defaults(func=cmd_density, target="m", preview=False)
+    pm.set_defaults(func=cmd_density, target="m")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("witness", help="smallest diagonal witness prime for n")

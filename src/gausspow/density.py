@@ -5,27 +5,24 @@ of the witness progressions
 
     U_p = { n : p^3 - p | n, p^2 does not divide n },   p = 3 (mod 4),
 
-computed by inclusion-exclusion over all nonempty subsets of a prime family.
-A subset containing a pair q < p with q^2 | p^2 - 1 has empty intersection
-and is pruned together with its whole subtree; every surviving subset
-contributes phi/lcm with phi the product of q-1 and lcm taken over q^4 - q^2.
-Partial results are accumulated as integer numerators over one fixed common
-denominator and merged at the end, so no gcd reduction happens per term; the
-enumeration parallelizes over fixed prefix patterns.
+an inclusion-exclusion over the subsets of a prime family.  The intersection
+over a subset S is empty when S holds a pair q < p with q^2 | p^2 - 1, and
+otherwise has density phi(S)/lcm(S), phi the product of q - 1 and lcm taken
+over q^4 - q^2.  `union_density` does not enumerate the subsets: a dynamic
+program over the family, largest prime first, keeps one integer numerator
+over the fixed denominator lcm(all q^4 - q^2) per live part of lcm(S), the
+part later primes can still change.
 
-A float "preview" variant exists for quick looks and is never used by any
-verification path.
+The bracket for the diagonal density adds the tail of the witness primes
+beyond the family, rounded up term by term to a fixed denominator, so every
+endpoint is exact or rounded outward.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 from .arith import (
     inert_primes_up_to,
@@ -34,7 +31,9 @@ from .arith import (
     validate_prime_family,
 )
 
-MAX_UNION_PRIMES = 34
+# Largest family `union_density` accepts: the first 40 inert primes take about
+# 1 s on a 2-core x86 host (32k states at the widest step).
+MAX_UNION_PRIMES = 40
 
 # Sum of 1/p^3 over primes p = 3 (mod 4), to 40 digits (OEIS A085992).
 INERT_CUBE_RECIPROCAL_SUM = Fraction(
@@ -46,6 +45,11 @@ INERT_CUBE_RECIPROCAL_SUM = Fraction(
 # limit grows, so larger limits stay covered).
 TAIL_REMAINDER = Fraction(2, 10**14)
 TAIL_REMAINDER_MIN_LIMIT = 10**6
+
+# Common denominator of `rounded_tail`.  The 2e7 sieve cap admits 635,435
+# terms, so the rounding adds less than 1e-234, far below the 200 digits
+# `decimal_render` can print.
+TAIL_SCALE = 10**240
 
 
 def zero_row_density(k: int) -> Fraction:
@@ -114,117 +118,58 @@ def squarefree_term(m: int) -> Fraction:
     return intersection_density([p for p, _ in pairs])
 
 
-def _conflict_masks(fam: tuple[int, ...]) -> list[int]:
-    masks = []
-    for j, p in enumerate(fam):
-        m = 0
-        for i in range(j):
-            if (p * p - 1) % (fam[i] * fam[i]) == 0:
-                m |= 1 << i
-        masks.append(m)
-    return masks
+def _live_part(n: int, r: int) -> int:
+    """Largest divisor of n built only from primes that divide r."""
+    rest = n
+    while (g := gcd(rest, r)) > 1:
+        rest //= g
+    return n // rest
 
 
-def _subtree_sum(us, qm1, conflicts, total_lcm, start, L, phi, sign, mask):
-    """Signed sum of phi(S) * (total_lcm // lcm(L, u(S))) over nonempty
-    compatible subsets S of indices >= start, relative to the chosen mask."""
-    total = 0
-    n = len(us)
-    for j in range(start, n):
-        if conflicts[j] & mask:
-            continue
-        u = us[j]
-        L2 = L // gcd(L, u) * u
-        phi2 = phi * qm1[j]
-        total += sign * phi2 * (total_lcm // L2)
-        total += _subtree_sum(
-            us, qm1, conflicts, total_lcm, j + 1, L2, phi2, -sign, mask | (1 << j)
-        )
-    return total
+def union_density(primes) -> Fraction:
+    """Exact density of the union of U_p over the family.
 
-
-def _subtree_task(args):
-    return _subtree_sum(*args)
-
-
-def _preview_subtree(us, qm1, conflicts, start, L, phi, sign, mask):
-    total = 0.0
-    n = len(us)
-    for j in range(start, n):
-        if conflicts[j] & mask:
-            continue
-        u = us[j]
-        L2 = L // gcd(L, u) * u
-        phi2 = phi * qm1[j]
-        total += sign * (phi2 / L2)
-        total += _preview_subtree(
-            us, qm1, conflicts, start=j + 1, L=L2, phi=phi2, sign=-sign,
-            mask=mask | (1 << j),
-        )
-    return total
-
-
-def union_density(primes, workers: int | None = None) -> Fraction:
-    """Exact density of the union of U_p over the family, by inclusion-exclusion.
-
-    Enumerates all nonempty subsets with conflict pruning.  With `workers`
-    greater than one, subtrees below a fixed prefix depth run in separate
-    processes; integer partial sums merge exactly, so the result does not
-    depend on scheduling.
+    Inclusion-exclusion by a dynamic program over the family taken largest
+    prime first.  A state is the live part of lcm(q^4 - q^2) over the primes
+    chosen so far: the part built from primes that a prime still to come can
+    touch (a prime s touches s and the factors of s^2 - 1).  A smaller prime
+    never contributes a factor larger than itself, so the exponent of a factor
+    is final once it is dead and the factor can leave the state.  Each state
+    carries the signed sum of phi(S) * (total_lcm // lcm(S)) over its subsets
+    S, where phi(S) is the product of q - 1.  A prime p is never added to a
+    state that p^2 already divides: those are exactly the subsets holding a
+    pair q < p with q^2 | p^2 - 1, whose intersection is empty.
     """
     fam = validate_prime_family(primes)
     if not fam:
         raise ValueError("prime family must be non-empty")
     if len(fam) > MAX_UNION_PRIMES:
         raise ValueError(f"at most {MAX_UNION_PRIMES} primes supported")
-    us = [p**4 - p**2 for p in fam]
-    qm1 = [p - 1 for p in fam]
-    conflicts = _conflict_masks(fam)
-    total_lcm = 1
-    for u in us:
-        total_lcm = lcm(total_lcm, u)
+    order = fam[::-1]
+    us = [p**4 - p**2 for p in order]
+    total_lcm = lcm(*us)
+    # lives[i]: the part of total_lcm that the primes after order[i] can touch
+    lives = []
+    later = 1
+    for u in reversed(us):
+        lives.append(_live_part(total_lcm, later))
+        later *= u
+    lives.reverse()
 
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(fam) < 16:
-        num = _subtree_sum(us, qm1, conflicts, total_lcm, 0, 1, 1, 1, 0)
-        return Fraction(num, total_lcm)
-
-    split = min(6, len(fam) - 10)
-    prefix_num = 0
-    tasks = []
-    for pattern in range(1 << split):
-        L, phi, mask, size, ok = 1, 1, 0, 0, True
-        for j in range(split):
-            if pattern >> j & 1:
-                if conflicts[j] & mask:
-                    ok = False
-                    break
-                L = L // gcd(L, us[j]) * us[j]
-                phi *= qm1[j]
-                mask |= 1 << j
-                size += 1
-        if not ok:
-            continue
-        sign = -1 if size % 2 else 1  # (-1)^size, tail terms flip from here
-        if size:
-            prefix_num += -sign * phi * (total_lcm // L)
-        tasks.append((us, qm1, conflicts, total_lcm, split, L, phi, sign, mask))
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        num = prefix_num + sum(pool.map(_subtree_task, tasks))
-    return Fraction(num, total_lcm)
-
-
-def union_density_preview(primes) -> float:
-    """Float approximation of `union_density`; display only, never verified."""
-    fam = validate_prime_family(primes)
-    if not fam or len(fam) > MAX_UNION_PRIMES:
-        raise ValueError("prime family empty or too large")
-    us = [p**4 - p**2 for p in fam]
-    qm1 = [p - 1 for p in fam]
-    conflicts = _conflict_masks(fam)
-    return _preview_subtree(us, qm1, conflicts, 0, 1, 1, 1, 0)
+    # value of a state: sum of (-1)^|S| phi(S) total_lcm / lcm(S), with S
+    # ranging over every compatible subset (the empty one included)
+    states = {1: total_lcm}
+    for p, u, live in zip(order, us, lives):
+        nxt: dict[int, int] = {}
+        for key, val in states.items():
+            skip = gcd(key, live)
+            nxt[skip] = nxt.get(skip, 0) + val
+            if key % (p * p):
+                g = gcd(key, u)
+                add = gcd(key // g * u, live)
+                nxt[add] = nxt.get(add, 0) - val * (p - 1) * g // u
+        states = nxt
+    return Fraction(total_lcm - states[1], total_lcm)
 
 
 def _merge_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
@@ -244,19 +189,28 @@ def _merge_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
     return terms[0]
 
 
-def tail_bound(p_min: int, p_limit: int) -> Fraction:
-    """Exact sum of 1/(p^3 + p^2) over primes p = 3 (mod 4), p_min < p <= p_limit."""
+def _tail_primes(p_min: int, p_limit: int) -> list[int]:
+    """Primes p = 3 (mod 4) with p_min < p <= p_limit."""
     if p_min >= p_limit:
         raise ValueError("requires p_min < p_limit")
     if p_limit > 2 * 10**7:
         raise ValueError("sieve limit capped at 2e7")
-    terms = [
-        (1, p * p * (p + 1))
-        for p in inert_primes_up_to(p_limit)
-        if p > p_min
-    ]
-    num, den = _merge_sum(terms)
+    return [p for p in inert_primes_up_to(p_limit) if p > p_min]
+
+
+def tail_bound(p_min: int, p_limit: int) -> Fraction:
+    """Exact sum of 1/(p^3 + p^2) over primes p = 3 (mod 4), p_min < p <= p_limit."""
+    num, den = _merge_sum([(1, p * p * (p + 1)) for p in _tail_primes(p_min, p_limit)])
     return Fraction(num, den)
+
+
+def rounded_tail(p_min: int, p_limit: int) -> Fraction:
+    """Upper bound for `tail_bound`: each term rounded up to a multiple of
+    1/TAIL_SCALE, so the excess is below (number of terms) / TAIL_SCALE."""
+    return Fraction(
+        sum(-(-TAIL_SCALE // (p * p * (p + 1))) for p in _tail_primes(p_min, p_limit)),
+        TAIL_SCALE,
+    )
 
 
 @dataclass(frozen=True)
@@ -284,15 +238,14 @@ class DiagonalBracket:
     primes_used: tuple[int, ...]
 
 
-def diagonal_bracket(
-    num_primes: int, p_limit: int, workers: int | None = None
-) -> DiagonalBracket:
+def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
     """Bracket the density of the diagonal zero set from a finite prime family.
 
     lower = 1 - union - tail and upper = 1 - union, where union is the exact
     inclusion-exclusion density over the first `num_primes` inert primes and
-    tail bounds the contribution of all larger witness primes: the exact sum
-    to p_limit plus the stored remainder beyond it.
+    tail bounds the contribution of all larger witness primes: the sum to
+    p_limit rounded up term by term (`rounded_tail`) plus the stored remainder
+    beyond it.
     """
     if not 1 <= num_primes <= MAX_UNION_PRIMES:
         raise ValueError(f"num_primes must be in [1, {MAX_UNION_PRIMES}]")
@@ -301,8 +254,8 @@ def diagonal_bracket(
             f"p_limit below {TAIL_REMAINDER_MIN_LIMIT} invalidates the stored remainder"
         )
     fam = sieve_inert_primes(num_primes)
-    ell = union_density(fam, workers=workers)
-    tail = tail_bound(fam[-1], p_limit) + TAIL_REMAINDER
+    ell = union_density(fam)
+    tail = rounded_tail(fam[-1], p_limit) + TAIL_REMAINDER
     interval = DensityInterval(1 - ell - tail, 1 - ell)
     return DiagonalBracket(interval, ell, tail, fam)
 
@@ -315,6 +268,8 @@ def sieve_complement_count(limit: int, primes, chunk: int = 1 << 24) -> int:
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
+    import numpy as np
+
     fam = validate_prime_family(primes)
     steps = [(p**3 - p, p * (p**3 - p)) for p in fam]
     count = 0

@@ -58,8 +58,8 @@ def transcribed_cell(k, n):
 
 @pytest.fixture(scope="module")
 def bracket30():
-    """One shared 30-prime inclusion-exclusion run (the expensive sweep)."""
-    return diagonal_bracket(30, 1299689, workers=2)
+    """One shared 30-prime bracket, reused by criteria 5, 6 and 8."""
+    return diagonal_bracket(30, 1299689)
 
 
 def test_criterion_01_table_reproduction():
@@ -160,7 +160,7 @@ def test_criterion_06_density_bracket(bracket30):
         assert bracket30.interval.lower >= reference_lower
         assert bracket30.interval.upper <= reference_upper
         start = time.perf_counter()
-        fast = diagonal_bracket(20, 10**6, workers=2)
+        fast = diagonal_bracket(20, 10**6)
         assert fast.interval.lower <= reference_lower
         assert fast.interval.upper >= reference_upper
         assert time.perf_counter() - start < 60.0

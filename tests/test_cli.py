@@ -1,9 +1,14 @@
 """CLI surface: output formats, exit-code contract, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gausspow
 from gausspow.cli import main
 
 
@@ -126,6 +131,34 @@ class TestVerify:
         assert "MISMATCH" in out
 
 
+# `density m --primes 24 --tail-limit 1000000 --format json`; the decimals are
+# the renderings of the exact tail sum, which the outward-rounded tail keeps.
+BRACKET_24_RECORD = {
+    "primes_used": 24,
+    "ell": "135010272581424513583935379778615981994009550684416848481693350419275724"
+    "784833211912131/46556542627672425393665649561012522378054704399463407936574"
+    "55218856947201807417293558400",
+    "ell_decimal": "0.0289992050443145835",
+    "tail": "0.0000010069140023031",
+    "lower": "0.9709997880416831133",
+    "upper": "0.9710007949556854165",
+    "num_digits": 87,
+    "den_digits": 88,
+}
+# The same run with --digits 200, rendered from the exact tail sum.
+BRACKET_24_DIGITS_200 = {
+    "tail": "0.000001006914002303065308095140640565225349587647992326198086164183954"
+    "897744010360460031442356576696944359380197109723400983356580509760115332555"
+    "31566536318582461132001639796888042634207386981715080187",
+    "lower": "0.97099978804168311336475675428359899072750014821563283885878613593"
+    "198846483974512587936725509598791225162925933103990143745759561299568184617"
+    "011456217324357990755553483949610503914585794218095567828185",
+    "upper": "0.97100079495568541643006484942423955595284973586362516505687230011"
+    "594336258375548633939869745256460919598863952814962483844095219350544196150"
+    "266987783860676573216685485589407391957220001605077282908373",
+}
+
+
 class TestDensity:
     def test_row_density(self, capsys):
         code, out, _ = run_cli(capsys, "density", "nk", "--k", "8")
@@ -148,7 +181,6 @@ class TestDensity:
             "--primes", "2",
             "--tail-limit", "1000000",
             "--format", "json",
-            "--workers", "1",
         )
         assert code == 0
         record = json.loads(out)
@@ -156,12 +188,30 @@ class TestDensity:
         assert record["ell"] == "101/3528"
         assert float(record["lower"]) < 0.9710008 < float(record["upper"])
 
-    def test_preview_labeled(self, capsys):
+    def test_bracket_24_record(self, capsys):
         code, out, _ = run_cli(
-            capsys, "density", "m", "--primes", "3", "--preview"
+            capsys,
+            "density", "m",
+            "--primes", "24",
+            "--tail-limit", "1000000",
+            "--format", "json",
         )
         assert code == 0
-        assert "preview" in out
+        assert json.loads(out) == BRACKET_24_RECORD
+
+    def test_bracket_24_at_200_digits(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "density", "m",
+            "--primes", "24",
+            "--tail-limit", "1000000",
+            "--format", "json",
+            "--digits", "200",
+        )
+        assert code == 0
+        record = json.loads(out)
+        for field, expected in BRACKET_24_DIGITS_200.items():
+            assert record[field] == expected, field
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,6 +232,19 @@ class TestWitnessAndSearch:
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert records == [{"k": 2, "m": 3, "lhs_re": 0, "lhs_im": 18}]
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(gausspow.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, gausspow.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestPrimes:

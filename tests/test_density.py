@@ -1,26 +1,31 @@
 """Exact density machinery: closed products, inclusion-exclusion, sieve oracle."""
 
+import time
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausspow.arith import inert_primes_up_to, is_prime, sieve_inert_primes
 from gausspow.congruence_sets import outside_row_zeros
 from gausspow.density import (
     INERT_CUBE_RECIPROCAL_SUM,
+    MAX_UNION_PRIMES,
     TAIL_REMAINDER,
+    TAIL_SCALE,
     DensityInterval,
     _merge_sum,
     diagonal_bracket,
     incompatible,
     intersection_density,
+    rounded_tail,
     sieve_complement_count,
     squarefree_term,
     tail_bound,
     union_density,
-    union_density_preview,
     witness_density,
     zero_row_density,
 )
@@ -168,6 +173,70 @@ def naive_union(primes):
     return total
 
 
+def _conflict_masks(fam):
+    masks = []
+    for j, p in enumerate(fam):
+        m = 0
+        for i in range(j):
+            if (p * p - 1) % (fam[i] * fam[i]) == 0:
+                m |= 1 << i
+        masks.append(m)
+    return masks
+
+
+def _subtree_sum(us, qm1, conflicts, total_lcm, start, L, phi, sign, mask):
+    """Signed sum of phi(S) * (total_lcm // lcm(L, u(S))) over nonempty
+    compatible subsets S of indices >= start, relative to the chosen mask."""
+    total = 0
+    for j in range(start, len(us)):
+        if conflicts[j] & mask:
+            continue
+        u = us[j]
+        L2 = L // gcd(L, u) * u
+        phi2 = phi * qm1[j]
+        total += sign * phi2 * (total_lcm // L2)
+        total += _subtree_sum(
+            us, qm1, conflicts, total_lcm, j + 1, L2, phi2, -sign, mask | (1 << j)
+        )
+    return total
+
+
+def enumerated_union(primes):
+    """Union density by enumerating every compatible subset, pruning the
+    subtree below each incompatible pair; the oracle for `union_density`."""
+    fam = tuple(primes)
+    us = [p**4 - p**2 for p in fam]
+    total_lcm = lcm(*us)
+    qm1 = [p - 1 for p in fam]
+    num = _subtree_sum(us, qm1, _conflict_masks(fam), total_lcm, 0, 1, 1, 1, 0)
+    return Fraction(num, total_lcm)
+
+
+FIRST_FORTY = sieve_inert_primes(40)
+# partners p of 3 with 9 | p^2 - 1: every incompatible pair among the first 40
+THREE_PARTNERS = [p for p in FIRST_FORTY[1:] if (p * p - 1) % 9 == 0]
+UNTIED = [p for p in FIRST_FORTY[1:] if p not in THREE_PARTNERS]
+
+
+@st.composite
+def subfamilies(draw):
+    """Up to 18 of the first 40 inert primes: up to six partners of 3, other
+    primes, and 3 itself in three draws out of four."""
+    fam = set(draw(st.lists(st.sampled_from(THREE_PARTNERS), max_size=6, unique=True)))
+    fam |= set(draw(st.lists(st.sampled_from(UNTIED), max_size=17 - len(fam), unique=True)))
+    if draw(st.integers(0, 3)) or not fam:
+        fam.add(3)
+    return sorted(fam)
+
+
+# union_density of the first 24 inert primes (the benchmark's bracket input)
+ELL_24 = Fraction(
+    "135010272581424513583935379778615981994009550684416848481693350419275724"
+    "784833211912131/4655654262767242539366564956101252237805470439946340793657"
+    "455218856947201807417293558400"
+)
+
+
 class TestUnionDensity:
     def test_singleton(self):
         assert union_density([3]) == Fraction(1, 36)
@@ -193,23 +262,25 @@ class TestUnionDensity:
             assert v <= sum(witness_density(p) for p in f)
             assert v >= max(witness_density(p) for p in f)
 
-    def test_parallel_matches_sequential(self):
-        fam = sieve_inert_primes(16)
-        seq = union_density(fam, workers=1)
-        par = union_density(fam, workers=2)
-        assert seq == par
+    @settings(deadline=None)
+    @given(subfamilies())
+    @example(list(FIRST_FORTY[:18]))
+    @example([3, *THREE_PARTNERS])
+    def test_matches_enumeration_on_subfamilies(self, fam):
+        assert union_density(fam) == enumerated_union(fam)
+
+    def test_pinned_24_prime_value(self):
+        assert union_density(sieve_inert_primes(24)) == ELL_24
 
     def test_exact_period_count_ties_union_to_sieve(self):
         # the union of the two progressions has period lcm(72, 2352) = 7056
         assert sieve_complement_count(7056, (3, 7)) == 7056 * Fraction(101, 3528)
 
-    def test_preview_close_to_exact(self):
-        fam = sieve_inert_primes(8)
-        assert abs(union_density_preview(fam) - float(union_density(fam))) < 1e-12
-
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            union_density(sieve_inert_primes(35))
+            union_density(sieve_inert_primes(MAX_UNION_PRIMES + 1))
+        with pytest.raises(ValueError):
+            diagonal_bracket(MAX_UNION_PRIMES + 1, 10**6)
 
 
 class TestTailBound:
@@ -232,6 +303,14 @@ class TestTailBound:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             tail_bound(300, 300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 10**4 - 1), st.integers(1, 10**4))
+    def test_rounded_tail_is_outward_and_tight(self, p_min, span):
+        p_limit = min(p_min + span, 10**4)
+        count = sum(1 for p in inert_primes_up_to(p_limit) if p > p_min)
+        exact = tail_bound(p_min, p_limit)
+        assert exact <= rounded_tail(p_min, p_limit) <= exact + Fraction(count, TAIL_SCALE)
 
     def test_merge_sum_helper(self):
         pairs = [(1, 2), (1, 3), (1, 7), (2, 9)]
@@ -271,6 +350,14 @@ class TestDiagonalBracket:
     def test_rejects_small_tail_limit(self):
         with pytest.raises(ValueError):
             diagonal_bracket(5, 10**5)
+
+    def test_largest_accepted_input_is_bounded(self):
+        # MAX_UNION_PRIMES with the 2e7 sieve cap: the slowest bracket the CLI
+        # accepts, about 3.5 s on a 2-core host
+        start = time.perf_counter()
+        result = diagonal_bracket(MAX_UNION_PRIMES, 2 * 10**7)
+        assert time.perf_counter() - start < 30.0
+        assert result.interval.lower > Fraction(971, 1000)
 
     def test_monotone_lower_bounds(self):
         small = diagonal_bracket(8, 10**6)
