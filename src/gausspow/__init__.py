@@ -8,18 +8,10 @@ rational arithmetic, and searches a Gaussian analogue of a classical
 power-sum Diophantine equation.
 """
 
-from .arith import (
-    decimal_render,
-    factorize,
-    lcm_accumulate,
-    mod_pow,
-    sieve_inert_primes,
-)
+from .arith import decimal_render, factorize, sieve_inert_primes
 from .binomial_sums import binom_mod_p, dilcher_sum, hermite_sum, signed_lacunary_sum
 from .closed_form import (
-    imag_part_closed,
-    real_part_closed,
-    sigma_by_parts,
+    row_witness_primes,
     sigma_closed,
     sigma_expansion,
     witness_primes,
@@ -29,7 +21,6 @@ from .congruence_sets import (
     diagonal_witness,
     divides_sigma,
     eight_multiple_exclusion,
-    outside_column_zeros,
     outside_row_zeros,
     witness_forces_24,
 )
@@ -70,22 +61,17 @@ __all__ = [
     "eight_multiple_exclusion",
     "factorize",
     "hermite_sum",
-    "imag_part_closed",
     "incompatible",
     "intersection_density",
-    "lcm_accumulate",
-    "mod_pow",
     "norm_prefilter",
-    "outside_column_zeros",
     "outside_row_zeros",
-    "real_part_closed",
+    "row_witness_primes",
     "s_mod_closed",
     "s_mod_naive",
     "search_solutions",
     "sieve_complement_count",
     "sieve_inert_primes",
     "sigma_brute",
-    "sigma_by_parts",
     "sigma_closed",
     "sigma_exact",
     "sigma_expansion",

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .arith import decimal_render, sieve_inert_primes
-from .closed_form import sigma_closed, sigma_expansion
+from .closed_form import MAX_EXPANSION_K, sigma_closed, sigma_expansion
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
 from .gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
@@ -85,8 +85,11 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     kmax, nmax = args.kmax, args.nmax
-    if kmax < 1 or not 1 <= nmax <= 300:
-        print("requires kmax >= 1 and 1 <= nmax <= 300", file=sys.stderr)
+    if not (1 <= kmax <= MAX_EXPANSION_K and 1 <= nmax <= 300):
+        print(
+            f"requires 1 <= kmax <= {MAX_EXPANSION_K} and 1 <= nmax <= 300",
+            file=sys.stderr,
+        )
         return 2
     for n in range(1, nmax + 1):
         brute = sigma_brute_rows(n, kmax)

@@ -10,19 +10,29 @@ and reads
     sigma_k(n) =  (n/2)(1+i)                    if k > 1 odd and n = 2 (mod 4),
                   - sum_{p in W(k,n)} n^2/p^2   otherwise (purely real).
 
-Three independent evaluation routes live here and are cross-tested: the
-closed form above, a mid-level route through the binomial expansion of
-(a+bi)^k against classical power sums, and case-split real/imaginary parts
-recombined by CRT.  `gaussian.sigma_brute` is the fourth, ground-truth route.
+Two independent evaluation routes live here and are cross-tested: the
+closed form above and a mid-level route through the binomial expansion of
+(a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
+ground-truth route.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
-from .arith import crt, factorize
+from .arith import factorize, is_prime
 from .gaussian import GaussianResidue
 from .power_sums import s_mod_naive
+
+# Largest k `row_witness_primes` accepts: it tries the ~sqrt(k)/4 candidates
+# p = 3 (mod 4) with p^2 <= k + 1, about 0.1 s at 10^12 on a 2-core x86 host.
+MAX_ROW_K = 10**12
+
+# Largest k and n `sigma_expansion` accepts: it sums k + 1 power sums of n
+# terms each and takes k exact binomials; (1000, 1000) takes about 0.8 s on a
+# 2-core x86 host.
+MAX_EXPANSION_K = 1000
+MAX_EXPANSION_N = 1000
 
 
 def witness_primes(k: int, n: int) -> tuple[int, ...]:
@@ -33,6 +43,20 @@ def witness_primes(k: int, n: int) -> tuple[int, ...]:
         p
         for p, e in factorize(n)
         if e == 1 and p % 4 == 3 and k % (p * p - 1) == 0
+    )
+
+
+def row_witness_primes(k: int) -> tuple[int, ...]:
+    """Primes p = 3 (mod 4) with p^2 - 1 | k, ascending: the primes that can
+    witness in row k, for whichever n they exactly divide."""
+    if not 1 <= k <= MAX_ROW_K:
+        raise ValueError(f"k must be in [1, {MAX_ROW_K}]")
+    if k % 8:  # 8 | p^2 - 1 for every odd p
+        return ()
+    return tuple(
+        p
+        for p in range(3, isqrt(k + 1) + 1, 4)
+        if k % (p * p - 1) == 0 and is_prime(p)
     )
 
 
@@ -62,8 +86,11 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
     form but independent of it; it sits between brute force and the formula
     in the oracle stack.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    if not (1 <= k <= MAX_EXPANSION_K and 1 <= n <= MAX_EXPANSION_N):
+        raise ValueError(
+            f"expansion needs 1 <= k <= {MAX_EXPANSION_K}"
+            f" and 1 <= n <= {MAX_EXPANSION_N}"
+        )
     s = [s_mod_naive(m, n) for m in range(k + 1)]
     re = im = 0
     for j in range(k // 2 + 1):
@@ -73,40 +100,6 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
         term = comb(k, 2 * j + 1) % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
         im += -term if j % 2 else term
     return GaussianResidue(re % n, im % n, n)
-
-
-def imag_part_closed(k: int, n: int) -> int:
-    """Im(sigma_k(n)) mod n: n/2 in the half-epsilon case, else 0."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    return n // 2 if is_half_epsilon_case(k, n) else 0
-
-
-def real_part_closed(k: int, n: int) -> int:
-    """Re(sigma_k(n)) mod n by the per-prime-power case split and CRT.
-
-    Kept separate from `sigma_closed` on purpose: this route assembles the
-    real part from one congruence per prime power dividing n, the other
-    negates a single divisor sum; agreement between them is a test target.
-    """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    if is_half_epsilon_case(k, n):
-        return n // 2
-    if k % 2 == 1 or n == 1:  # covers k = 1 and odd k > 1 with n != 2 mod 4
-        return 0
-    residues = []
-    for p, e in factorize(n):
-        if e == 1 and p % 4 == 3 and k % (p * p - 1) == 0:
-            residues.append((-(n * n // (p * p)) % p, p))
-        else:
-            residues.append((0, p**e))
-    return crt(residues)
-
-
-def sigma_by_parts(k: int, n: int) -> GaussianResidue:
-    """sigma_k(n) mod n recombined from the separate real/imaginary closed parts."""
-    return GaussianResidue(real_part_closed(k, n), imag_part_closed(k, n), n)
 
 
 def closed_period(n: int) -> int:

@@ -30,6 +30,7 @@ from .arith import (
     sieve_inert_primes,
     validate_prime_family,
 )
+from .closed_form import row_witness_primes
 
 # Largest family `union_density` accepts: the first 40 inert primes take about
 # 1 s on a 2-core x86 host (32k states at the widest step).
@@ -58,17 +59,10 @@ def zero_row_density(k: int) -> Fraction:
     3/4 for odd k > 1; otherwise the product of (p^2 - p + 1)/p^2 over
     primes p = 3 (mod 4) with p^2 - 1 | k (empty product = 1).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 1 and k % 2 == 1:
-        return Fraction(3, 4)
     out = Fraction(1)
-    p = 3
-    while p * p - 1 <= k:
-        if p % 4 == 3 and is_prime(p) and k % (p * p - 1) == 0:
-            out *= Fraction(p * p - p + 1, p * p)
-        p += 2
-    return out
+    for p in row_witness_primes(k):
+        out *= Fraction(p * p - p + 1, p * p)
+    return Fraction(3, 4) if k > 1 and k % 2 == 1 else out
 
 
 def witness_density(p: int) -> Fraction:
@@ -172,17 +166,17 @@ def union_density(primes) -> Fraction:
     return Fraction(total_lcm - states[1], total_lcm)
 
 
-def _merge_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """Sum fractions given as (num, den) pairs by balanced pairwise merging,
-    leaving the result unreduced (one final reduction beats one per add)."""
+def _merge_sum(terms: list[Fraction]) -> Fraction:
+    """Sum fractions by balanced pairwise merging.
+
+    Each addition then joins two operands of similar size, and reducing it
+    costs a gcd of their denominators; a left-to-right sum, or one reduction
+    of the unreduced total, pays a gcd on numbers as large as the whole sum.
+    """
     if not terms:
-        return (0, 1)
+        return Fraction(0)
     while len(terms) > 1:
-        nxt = []
-        for i in range(0, len(terms) - 1, 2):
-            n1, d1 = terms[i]
-            n2, d2 = terms[i + 1]
-            nxt.append((n1 * d2 + n2 * d1, d1 * d2))
+        nxt = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
             nxt.append(terms[-1])
         terms = nxt
@@ -200,8 +194,8 @@ def _tail_primes(p_min: int, p_limit: int) -> list[int]:
 
 def tail_bound(p_min: int, p_limit: int) -> Fraction:
     """Exact sum of 1/(p^3 + p^2) over primes p = 3 (mod 4), p_min < p <= p_limit."""
-    num, den = _merge_sum([(1, p * p * (p + 1)) for p in _tail_primes(p_min, p_limit)])
-    return Fraction(num, den)
+    primes = _tail_primes(p_min, p_limit)
+    return _merge_sum([Fraction(1, p * p * (p + 1)) for p in primes])
 
 
 def rounded_tail(p_min: int, p_limit: int) -> Fraction:

@@ -122,14 +122,6 @@ def _pow_exact(a: int, b: int, k: int) -> tuple[int, int]:
     return ra, rb
 
 
-def gauss_mul(x: GaussianResidue, y: GaussianResidue) -> GaussianResidue:
-    return x * y
-
-
-def gauss_pow(x: GaussianResidue, k: int) -> GaussianResidue:
-    return x**k
-
-
 def sigma_brute(k: int, n: int) -> GaussianResidue:
     """Sum of (a+bi)^k over the full square 1 <= a, b <= n, reduced mod n.
 
@@ -174,16 +166,3 @@ def sigma_exact(k: int, m: int) -> GaussianInt:
             sre += re
             sim += im
     return GaussianInt(sre, sim)
-
-
-def sigma_exact_rows(m: int, k_max: int) -> list[GaussianInt]:
-    """[sigma_exact(k, m) for k in 1..k_max] sharing one incremental power pass."""
-    acc = [[0, 0] for _ in range(k_max)]
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            ca, cb = 1, 0
-            for k in range(k_max):
-                ca, cb = ca * a - cb * b, ca * b + cb * a
-                acc[k][0] += ca
-                acc[k][1] += cb
-    return [GaussianInt(re, im) for re, im in acc]

@@ -25,6 +25,11 @@ class Solution:
     value: GaussianInt
 
 
+def _norm_bits_match(lhs_norm: int, k: int, m: int) -> bool:
+    """Whether lhs_norm has the bit length of the norm (2 m^2)^k of (m + mi)^k."""
+    return lhs_norm.bit_length() == ((2 * m * m) ** k).bit_length()
+
+
 def norm_prefilter(k: int, m: int) -> bool:
     """Cheap necessary condition: the two sides' norms have equal bit length.
 
@@ -33,9 +38,7 @@ def norm_prefilter(k: int, m: int) -> bool:
     """
     if k < 1 or m < 2:
         raise ValueError("requires k >= 1 and m >= 2")
-    lhs = sigma_exact(k, m - 1).norm()
-    rhs = (2 * m * m) ** k  # norm of (m + mi)^k
-    return lhs.bit_length() == rhs.bit_length()
+    return _norm_bits_match(sigma_exact(k, m - 1).norm(), k, m)
 
 
 def _search_one_exponent(args: tuple[int, int]) -> list[Solution]:
@@ -54,8 +57,7 @@ def _search_one_exponent(args: tuple[int, int]) -> list[Solution]:
             sre += re
             sim += im
         m = t + 1
-        lhs_norm = sre * sre + sim * sim
-        if lhs_norm.bit_length() != ((2 * m * m) ** k).bit_length():
+        if not _norm_bits_match(sre * sre + sim * sim, k, m):
             continue
         re, im = _pow_exact(m, m, k)
         if sre == re and sim == im:

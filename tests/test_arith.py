@@ -13,19 +13,10 @@ from gausspow.arith import (
     factorize,
     inert_primes_up_to,
     is_prime,
-    lcm_accumulate,
-    mod_pow,
     primes_up_to,
     sieve_inert_primes,
     validate_prime_family,
 )
-
-
-def naive_pow_mod(base, exp, modulus):
-    out = 1 % modulus
-    for _ in range(exp):
-        out = out * base % modulus
-    return out
 
 
 def long_division_digits(num, den, digits):
@@ -94,40 +85,6 @@ class TestFactorize:
         pairs = factorize(n)
         assert prod(p**e for p, e in pairs) == n
         assert all(is_prime(p) for p, _ in pairs)
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(9, 0, 7) == 1
-        assert mod_pow(5, 0, 1) == 0  # 1 mod 1
-        assert mod_pow(7, 100, 13) == 9
-        assert naive_pow_mod(7, 100, 13) == 9
-
-    @given(
-        st.integers(min_value=0, max_value=64),
-        st.integers(min_value=0, max_value=64),
-        st.integers(min_value=1, max_value=1000),
-    )
-    def test_matches_naive(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus) == naive_pow_mod(base, exp, modulus)
-
-
-class TestLcmAccumulate:
-    def test_worked_example(self):
-        # 72 = 2^3 3^2, 2352 = 2^4 3 7^2 -> lcm = 2^4 3^2 7^2 = 7056
-        assert lcm_accumulate(72, 2352) == 7056
-
-    def test_identity_and_idempotence(self):
-        assert lcm_accumulate(1, 91) == 91
-        assert lcm_accumulate(91, 91) == 91
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 10**6))
-    def test_associative_commutative(self, a, b, c):
-        assert lcm_accumulate(a, b) == lcm_accumulate(b, a)
-        assert lcm_accumulate(lcm_accumulate(a, b), c) == lcm_accumulate(
-            a, lcm_accumulate(b, c)
-        )
 
 
 class TestCrt:

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gausspow
+from gausspow.arith import MAX_INERT_COUNT
 from gausspow.cli import main
+from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
+from gausspow.congruence_sets import MAX_WITNESS_N
 
 
 def run_cli(capsys, *argv):
@@ -263,3 +267,78 @@ class TestPrimes:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+class TestInputCaps:
+    """Each capped input: the largest accepted value finishes within a stated
+    time (a 2-core x86 host needs under a tenth of each bound), and the next
+    value exits 2 without starting the work."""
+
+    def timed(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        return code, out, time.perf_counter() - start
+
+    def test_sigma_expansion_at_cap(self, capsys):
+        k, n = str(MAX_EXPANSION_K), str(MAX_EXPANSION_N)
+        code, out, seconds = self.timed(
+            capsys, "sigma", "--k", k, "--n", n, "--method", "expansion"
+        )
+        assert code == 0
+        assert seconds < 15.0
+        _, closed, _ = run_cli(capsys, "sigma", "--k", k, "--n", n)
+        assert out.splitlines()[0] == closed.splitlines()[0]
+
+    def test_sigma_expansion_above_cap(self, capsys):
+        for k, n in ((MAX_EXPANSION_K + 1, 7), (2, MAX_EXPANSION_N + 1)):
+            code, _, err = run_cli(
+                capsys, "sigma", "--k", str(k), "--n", str(n), "--method", "expansion"
+            )
+            assert code == 2
+            assert str(MAX_EXPANSION_K) in err
+
+    def test_verify_above_cap(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--kmax", str(MAX_EXPANSION_K + 1), "--nmax", "1"
+        )
+        assert code == 2
+        assert str(MAX_EXPANSION_K) in err
+
+    def test_row_density_at_cap(self, capsys):
+        # 10^12 = 2^12 5^12: only p = 3 has p^2 - 1 | k, and every candidate is tried
+        code, out, seconds = self.timed(capsys, "density", "nk", "--k", str(MAX_ROW_K))
+        assert code == 0
+        assert seconds < 10.0
+        assert out.splitlines()[0] == "7/9"
+
+    def test_row_density_above_cap(self, capsys):
+        for k in (MAX_ROW_K + 1, MAX_ROW_K + 8):
+            code, _, err = run_cli(capsys, "density", "nk", "--k", str(k))
+            assert code == 2
+            assert "error" in err
+
+    def test_witness_at_cap(self, capsys):
+        # 3 | p^3 - p for every p, so 10^18 has no witness and the loop runs out
+        code, out, seconds = self.timed(capsys, "witness", "--n", str(MAX_WITNESS_N))
+        assert code == 0
+        assert seconds < 10.0
+        assert json.loads(out) == {"n": MAX_WITNESS_N, "witness": None}
+
+    def test_witness_above_cap(self, capsys):
+        code, _, err = run_cli(capsys, "witness", "--n", str(MAX_WITNESS_N + 1))
+        assert code == 2
+        assert "error" in err
+
+    def test_primes_at_cap(self, capsys):
+        code, out, seconds = self.timed(
+            capsys, "primes", "--count", str(MAX_INERT_COUNT)
+        )
+        assert code == 0
+        assert seconds < 10.0
+        fam = out.split()
+        assert len(fam) == MAX_INERT_COUNT and fam[-1] == "2747671"
+
+    def test_primes_above_cap(self, capsys):
+        code, _, err = run_cli(capsys, "primes", "--count", str(MAX_INERT_COUNT + 1))
+        assert code == 2
+        assert str(MAX_INERT_COUNT) in err

@@ -1,13 +1,14 @@
 """Closed-form sigma evaluation: witness set, case split, oracle agreement."""
 
+from math import isqrt
+
 import pytest
 
 from gausspow.closed_form import (
+    MAX_ROW_K,
     closed_period,
-    imag_part_closed,
     is_half_epsilon_case,
-    real_part_closed,
-    sigma_by_parts,
+    row_witness_primes,
     sigma_closed,
     sigma_expansion,
     witness_primes,
@@ -27,6 +28,21 @@ class TestWitnessPrimes:
         assert witness_primes(4, 12) == ()  # 8 does not divide 4
         assert witness_primes(48, 21) == (3, 7)
         assert witness_primes(48, 147) == (3,)  # 7^2 | 147
+
+    def test_row_witnesses_are_the_column_witnesses_of_p(self):
+        # p witnesses in row k exactly when it witnesses the cell (k, p)
+        for k in range(1, 3001):
+            direct = tuple(
+                p for p in range(3, isqrt(k + 1) + 1) if witness_primes(k, p) == (p,)
+            )
+            assert row_witness_primes(k) == direct, k
+        assert row_witness_primes(2880) == (3, 7, 11, 19, 31)
+
+    def test_row_witness_guards(self):
+        assert row_witness_primes(MAX_ROW_K) == (3,)
+        for k in (0, MAX_ROW_K + 1):
+            with pytest.raises(ValueError):
+                row_witness_primes(k)
 
 
 class TestClosedValues:
@@ -61,15 +77,15 @@ class TestExpansionRoute:
 
 class TestCaseFunctions:
     def test_imag_examples(self):
-        assert imag_part_closed(5, 10) == 5
-        assert imag_part_closed(4, 10) == 0
-        assert imag_part_closed(7, 8) == 0
+        assert sigma_closed(5, 10).im == 5
+        assert sigma_closed(4, 10).im == 0
+        assert sigma_closed(7, 8).im == 0
 
     def test_real_examples(self):
-        assert real_part_closed(9, 14) == 7
-        assert real_part_closed(1, 17) == 0
+        assert sigma_closed(9, 14).re == 7
+        assert sigma_closed(1, 17).re == 0
         # 21 = 3*7: p=3 qualifies for k=16 (8 | 16), p=7 does not (48 | 16 fails)
-        assert real_part_closed(16, 21) == 14
+        assert sigma_closed(16, 21).re == 14
 
     def test_case_predicate(self):
         assert is_half_epsilon_case(3, 6)
@@ -88,10 +104,8 @@ class TestOracleStack:
             for k in range(1, GRID + 1):
                 closed = sigma_closed(k, n)
                 expanded = sigma_expansion(k, n)
-                parts = sigma_by_parts(k, n)
                 assert closed == brute[k - 1], (k, n)
                 assert expanded == brute[k - 1], (k, n)
-                assert parts == brute[k - 1], (k, n)
 
     def test_imag_structure(self):
         # Im is 0 or n/2, and n/2 exactly in the half-epsilon case; whenever

@@ -8,7 +8,6 @@ from gausspow.congruence_sets import (
     diagonal_witness,
     divides_sigma,
     eight_multiple_exclusion,
-    outside_column_zeros,
     outside_row_zeros,
     witness_forces_24,
 )
@@ -36,16 +35,16 @@ class TestComplementDescriptions:
         assert outside_row_zeros(9, 8) is False  # multiple of 9
 
     def test_column_examples(self):
-        assert outside_column_zeros(3, 6) is True  # odd k > 1, n = 2 mod 4
-        assert outside_column_zeros(8, 3) is True  # 8 = 3^2 - 1
-        assert outside_column_zeros(8, 9) is False
+        assert not divides_sigma(3, 6)  # odd k > 1, n = 2 mod 4
+        assert not divides_sigma(8, 3)  # 8 = 3^2 - 1
+        assert divides_sigma(8, 9)
 
     def test_three_descriptions_agree(self):
         for k in range(1, 201):
             for n in range(1, 201):
                 member = not divides_sigma(k, n)
                 assert outside_row_zeros(n, k) == member, (k, n)
-                assert outside_column_zeros(k, n) == member, (k, n)
+                assert (not sigma_closed(k, n).is_zero()) == member, (k, n)
 
 
 class TestEightMultipleExclusion:

@@ -31,6 +31,20 @@ from gausspow.density import (
 )
 
 
+def unreduced_sum(terms):
+    """Sum (num, den) pairs by balanced pairwise merging, left unreduced: the
+    denominators p^3 are coprime, so reducing would only pay for big gcds."""
+    while len(terms) > 1:
+        nxt = [
+            (n1 * d2 + n2 * d1, d1 * d2)
+            for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])
+        ]
+        if len(terms) % 2:
+            nxt.append(terms[-1])
+        terms = nxt
+    return terms[0]
+
+
 def qualifying_primes(k):
     """Primes p = 3 (mod 4) with p^2 - 1 | k, by direct trial."""
     return [
@@ -313,10 +327,9 @@ class TestTailBound:
         assert exact <= rounded_tail(p_min, p_limit) <= exact + Fraction(count, TAIL_SCALE)
 
     def test_merge_sum_helper(self):
-        pairs = [(1, 2), (1, 3), (1, 7), (2, 9)]
-        num, den = _merge_sum(pairs)
-        assert Fraction(num, den) == sum(Fraction(a, b) for a, b in pairs)
-        assert _merge_sum([]) == (0, 1)
+        terms = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(2, 9)]
+        assert _merge_sum(terms) == sum(terms)
+        assert _merge_sum([]) == 0
 
 
 class TestStoredRemainder:
@@ -324,7 +337,7 @@ class TestStoredRemainder:
         # the partial sum of 1/p^3 over inert p up to the 99999th prime must
         # sit within TAIL_REMAINDER below the 40-digit series constant
         terms = [(1, p**3) for p in inert_primes_up_to(1299689)]
-        num, den = _merge_sum(terms)
+        num, den = unreduced_sum(terms)
         theta_num = INERT_CUBE_RECIPROCAL_SUM.numerator
         theta_den = INERT_CUBE_RECIPROCAL_SUM.denominator
         # 0 < theta - partial < 2e-14, unreduced cross-multiplied

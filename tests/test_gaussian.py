@@ -7,39 +7,36 @@ from hypothesis import strategies as st
 from gausspow.gaussian import (
     GaussianInt,
     GaussianResidue,
-    gauss_mul,
-    gauss_pow,
     sigma_brute,
     sigma_brute_rows,
     sigma_exact,
-    sigma_exact_rows,
 )
 
 
 class TestResidueRing:
     def test_mul_examples(self):
         one_i = GaussianResidue(1, 1, 5)
-        assert gauss_mul(one_i, one_i) == GaussianResidue(0, 2, 5)
+        assert one_i * one_i == GaussianResidue(0, 2, 5)
         x = GaussianResidue(3, 4, 7)
-        assert gauss_mul(x, GaussianResidue(1, 0, 7)) == x
+        assert x * GaussianResidue(1, 0, 7) == x
         # (2+3i)(4+i) = 8 - 3 + (2 + 12)i = 5 + 14i
-        got = gauss_mul(GaussianResidue(2, 3, 7), GaussianResidue(4, 1, 7))
+        got = GaussianResidue(2, 3, 7) * GaussianResidue(4, 1, 7)
         assert got == GaussianResidue(5, 0, 7)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            gauss_mul(GaussianResidue(1, 1, 5), GaussianResidue(1, 1, 7))
+            GaussianResidue(1, 1, 5) * GaussianResidue(1, 1, 7)
 
     def test_pow_examples(self):
-        assert gauss_pow(GaussianResidue(1, 1, 4), 2) == GaussianResidue(0, 2, 4)
+        assert GaussianResidue(1, 1, 4) ** 2 == GaussianResidue(0, 2, 4)
         x = GaussianResidue(2, 3, 11)
-        assert gauss_pow(x, 1) == x
-        assert gauss_pow(x, 0) == GaussianResidue(1, 0, 11)
+        assert x**1 == x
+        assert x**0 == GaussianResidue(1, 0, 11)
         y = GaussianResidue(1, 2, 13)
         by_loop = GaussianResidue(1, 0, 13)
         for _ in range(8):
-            by_loop = gauss_mul(by_loop, y)
-        assert gauss_pow(y, 8) == by_loop
+            by_loop *= y
+        assert y**8 == by_loop
 
     def test_canonical_range(self):
         r = GaussianResidue(-1, 13, 5)
@@ -55,8 +52,8 @@ class TestResidueRing:
         x = GaussianResidue(a, b, n)
         expected = GaussianResidue(1, 0, n)
         for _ in range(k):
-            expected = gauss_mul(expected, x)
-        assert gauss_pow(x, k) == expected
+            expected *= x
+        assert x**k == expected
 
 
 class TestExactRing:
@@ -107,7 +104,7 @@ class TestBruteSigma:
                 sre = sim = 0
                 for a in range(n):
                     for b in range(n):
-                        r = gauss_pow(GaussianResidue(a, b, n), k)
+                        r = GaussianResidue(a, b, n) ** k
                         sre += r.re
                         sim += r.im
                 assert GaussianResidue(sre, sim, n) == rows[k - 1], (k, n)
@@ -123,16 +120,19 @@ class TestExactSigma:
 
     def test_reduction_matches_brute_on_grid(self):
         for n in range(1, 41):
-            exact_rows = sigma_exact_rows(n, 40)
             brute_rows = sigma_brute_rows(n, 40)
             for k in range(1, 41):
-                assert exact_rows[k - 1].reduce(n) == brute_rows[k - 1], (k, n)
+                assert sigma_exact(k, n).reduce(n) == brute_rows[k - 1], (k, n)
 
     def test_rows_match_single_calls(self):
+        # each cell of a row of exact sums is the sum of single ** calls
         for m in range(0, 8):
-            rows = sigma_exact_rows(m, 10)
             for k in range(1, 11):
-                assert rows[k - 1] == sigma_exact(k, m), (k, m)
+                total = GaussianInt()
+                for a in range(1, m + 1):
+                    for b in range(1, m + 1):
+                        total += GaussianInt(a, b) ** k
+                assert sigma_exact(k, m) == total, (k, m)
 
 
 @settings(deadline=None)
