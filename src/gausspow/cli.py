@@ -21,6 +21,12 @@ from .moser_search import search_solutions
 
 EPSILON_LEGEND = "ϵ := (1 + i)"
 
+# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts, a bound on its three
+# costs: brute rows of kmax * nmax^3 / 3 steps, (kmax * nmax)^2 / 2 modular
+# powers, and exact binomials growing as kmax^3 per n.  The slowest accepted
+# input, kmax = 1 with nmax = 291, takes 3-5 s on a 2-core x86 host.
+MAX_VERIFY_WORK = 25 * 10**6
+
 
 def _cell_text(r: GaussianResidue) -> str:
     """Table cell: 0, plain integer, or a multiple of epsilon = 1+i."""
@@ -37,9 +43,6 @@ def _cell_csv(r: GaussianResidue) -> str:
 
 def cmd_sigma(args) -> int:
     k, n = args.k, args.n
-    if args.method == "brute" and n > 5000:
-        print("brute method capped at n <= 5000", file=sys.stderr)
-        return 2
     if args.method == "closed":
         r = sigma_closed(k, n)
     elif args.method == "expansion":
@@ -54,8 +57,7 @@ def cmd_sigma(args) -> int:
 def cmd_table(args) -> int:
     kmax, nmax = args.kmax, args.nmax
     if not (1 <= kmax <= 500 and 1 <= nmax <= 500):
-        print("kmax and nmax must be in [1, 500]", file=sys.stderr)
-        return 2
+        raise ValueError("kmax and nmax must be in [1, 500]")
     grid = [[sigma_closed(k, n) for n in range(1, nmax + 1)] for k in range(1, kmax + 1)]
     if args.format == "json":
         print(
@@ -86,11 +88,9 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     kmax, nmax = args.kmax, args.nmax
     if not (1 <= kmax <= MAX_EXPANSION_K and 1 <= nmax <= 300):
-        print(
-            f"requires 1 <= kmax <= {MAX_EXPANSION_K} and 1 <= nmax <= 300",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"requires 1 <= kmax <= {MAX_EXPANSION_K} and 1 <= nmax <= 300")
+    if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
+        raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
     for n in range(1, nmax + 1):
         brute = sigma_brute_rows(n, kmax)
         for k in range(1, kmax + 1):
@@ -160,7 +160,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_em_search(args) -> int:
-    for sol in search_solutions(args.kmax, args.mmax, workers=args.workers):
+    for sol in search_solutions(args.kmax, args.mmax):
         print(
             json.dumps(
                 {"k": sol.k, "m": sol.m, "lhs_re": sol.value.re, "lhs_im": sol.value.im}
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("em-search", help="exhaustive equation search")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_em_search)
 
     p = sub.add_parser("primes", help="list the smallest inert primes")

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import (
+    factorize,
     inert_primes_up_to,
     is_prime,
     sieve_inert_primes,
@@ -104,8 +105,6 @@ def squarefree_term(m: int) -> Fraction:
     """Intersection density addressed by a squarefree product of inert primes."""
     if m <= 1:
         raise ValueError("m must be > 1")
-    from .arith import factorize
-
     pairs = factorize(m)
     if any(e != 1 for _, e in pairs) or any(p % 4 != 3 for p, _ in pairs):
         raise ValueError("m must be squarefree with all factors = 3 (mod 4)")
@@ -217,9 +216,6 @@ class DensityInterval:
     def __post_init__(self):
         if not 0 <= self.lower <= self.upper <= 1:
             raise ValueError("interval must satisfy 0 <= lower <= upper <= 1")
-
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)

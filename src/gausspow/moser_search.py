@@ -8,7 +8,6 @@ The search is exact end to end; the only shortcut is a sound norm prefilter
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .gaussian import GaussianInt, _pow_exact, sigma_exact
@@ -41,10 +40,9 @@ def norm_prefilter(k: int, m: int) -> bool:
     return _norm_bits_match(sigma_exact(k, m - 1).norm(), k, m)
 
 
-def _search_one_exponent(args: tuple[int, int]) -> list[Solution]:
+def _search_one_exponent(k: int, m_max: int) -> list[Solution]:
     """All solutions with this fixed k, growing the square incrementally:
     enlarging the side from t-1 to t adds the new row b = t and column a = t."""
-    k, m_max = args
     found = []
     sre = sim = 0
     for t in range(1, m_max - 1):
@@ -65,22 +63,12 @@ def _search_one_exponent(args: tuple[int, int]) -> list[Solution]:
     return found
 
 
-def search_solutions(
-    k_max: int, m_max: int, workers: int | None = None
-) -> list[Solution]:
-    """All (k, m) with 1 <= k < k_max, 2 <= m < m_max solving the equation.
+def search_solutions(k_max: int, m_max: int) -> list[Solution]:
+    """All (k, m) with 1 <= k < k_max, 2 <= m < m_max solving the equation,
+    ordered by (k, m).
 
-    Exponents are independent, so the outer loop over k partitions across
-    worker processes when requested; each candidate passes the norm
-    prefilter before its exact equality check.  Results are ordered by
-    (k, m) regardless of worker count.
+    Each candidate passes the norm prefilter before its exact equality check.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
-    tasks = [(k, m_max) for k in range(1, k_max)]
-    if workers is None or workers <= 1 or len(tasks) < 4:
-        batches = map(_search_one_exponent, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_search_one_exponent, tasks))
-    return [sol for batch in batches for sol in batch]
+    return [sol for k in range(1, k_max) for sol in _search_one_exponent(k, m_max)]

@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import gausspow
 from gausspow.arith import MAX_INERT_COUNT
-from gausspow.cli import main
+from gausspow.cli import MAX_VERIFY_WORK, main
 from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
 from gausspow.congruence_sets import MAX_WITNESS_N
+from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
 
 
 def run_cli(capsys, *argv):
@@ -56,7 +58,7 @@ class TestSigma:
             capsys, "sigma", "--k", "2", "--n", "6000", "--method", "brute"
         )
         assert code == 2
-        assert "5000" in err
+        assert str(MAX_BRUTE_WORK) in err
 
     def test_bad_input_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "sigma", "--k", "0", "--n", "5")
@@ -237,18 +239,31 @@ class TestWitnessAndSearch:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert records == [{"k": 2, "m": 3, "lhs_re": 0, "lhs_im": 18}]
 
+    def test_search_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["em-search", "--kmax", "5", "--mmax", "5", "--workers", "2"])
+        assert exc.value.code == 2
+
 
 class TestImport:
-    def test_cli_import_leaves_numpy_out(self):
+    @staticmethod
+    def loaded_by_cli_import(module):
         src = str(Path(gausspow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = "import sys, gausspow.cli; print('numpy' in sys.modules)"
+        probe = f"import sys, gausspow.cli; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        assert out.strip() == "False"
+        return out.strip() == "True"
+
+    def test_cli_import_leaves_numpy_out(self):
+        assert not self.loaded_by_cli_import("numpy")
+
+    @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+    def test_cli_import_leaves_process_pools_out(self, module):
+        assert not self.loaded_by_cli_import(module)
 
 
 class TestPrimes:
@@ -271,7 +286,7 @@ class TestPrimes:
 
 class TestInputCaps:
     """Each capped input: the largest accepted value finishes within a stated
-    time (a 2-core x86 host needs under a tenth of each bound), and the next
+    time (a 2-core x86 host needs under a fifth of each bound), and the next
     value exits 2 without starting the work."""
 
     def timed(self, capsys, *argv):
@@ -303,6 +318,45 @@ class TestInputCaps:
         )
         assert code == 2
         assert str(MAX_EXPANSION_K) in err
+
+    # kmax = 1 is the slowest corner of the verify bound: the brute rows'
+    # per-cell overhead dominates there
+    VERIFY_NMAX = max(n for n in range(1, 301) if n * (1 + n) ** 2 <= MAX_VERIFY_WORK)
+
+    def test_verify_work_at_cap(self, capsys):
+        nmax = str(self.VERIFY_NMAX)
+        code, out, seconds = self.timed(capsys, "verify", "--kmax", "1", "--nmax", nmax)
+        assert code == 0
+        assert seconds < 30.0
+        assert out.startswith("verified")
+
+    def test_verify_work_above_cap(self, capsys):
+        nmax = str(self.VERIFY_NMAX + 1)
+        code, _, err = run_cli(capsys, "verify", "--kmax", "1", "--nmax", nmax)
+        assert code == 2
+        assert str(MAX_VERIFY_WORK) in err
+
+    def test_sigma_brute_at_cap(self, capsys):
+        # k = 1 has the largest n and the highest cost per unit of work
+        widest_n = str(isqrt(MAX_BRUTE_WORK))
+        widest_k = str(2**MAX_BRUTE_K_BITS - 1)
+        narrow_n = str(isqrt(MAX_BRUTE_WORK // MAX_BRUTE_K_BITS))
+        for k, n in (("1", widest_n), (widest_k, narrow_n)):
+            code, out, seconds = self.timed(
+                capsys, "sigma", "--k", k, "--n", n, "--method", "brute"
+            )
+            assert code == 0
+            assert seconds < 15.0
+            _, closed, _ = run_cli(capsys, "sigma", "--k", k, "--n", n)
+            assert out.splitlines()[0] == closed.splitlines()[0]
+
+    def test_sigma_brute_above_cap(self, capsys):
+        for k, n in ((1, isqrt(MAX_BRUTE_WORK) + 1), (2**MAX_BRUTE_K_BITS, 1)):
+            code, _, err = run_cli(
+                capsys, "sigma", "--k", str(k), "--n", str(n), "--method", "brute"
+            )
+            assert code == 2
+            assert str(MAX_BRUTE_WORK) in err
 
     def test_row_density_at_cap(self, capsys):
         # 10^12 = 2^12 5^12: only p = 3 has p^2 - 1 | k, and every candidate is tried

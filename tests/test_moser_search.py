@@ -67,9 +67,6 @@ class TestSearch:
             )
         assert all(s.k != 1 for s in search_solutions(2, 120))
 
-    def test_parallel_matches_sequential(self):
-        assert search_solutions(25, 25, workers=2) == search_solutions(25, 25)
-
     def test_guards(self):
         with pytest.raises(ValueError):
             search_solutions(501, 10)
