@@ -1,5 +1,7 @@
 """Shared integer/rational substrate: primes, factorization, CRT, exact decimals.
 
+Primality is deterministic Miller-Rabin, and factorization is trial division
+followed by Brent's rho, so no n below 2^63 takes more than about 0.1 s.
 Everything here is exact.  Rationals are `fractions.Fraction` (always reduced,
 positive denominator); floating point never enters any code path in this module.
 """
@@ -7,9 +9,24 @@ positive denominator); floating point never enters any code path in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 MAX_FACTOR_INPUT = 2**63 - 1
+
+# `factorize` trial-divides by the primes below this, then hands a cofactor
+# above TRIAL_LIMIT^2 to Brent's rho.  So every n below 10^6, which covers
+# all `table` and `verify` cells, is factored by trial division alone.
+TRIAL_LIMIT = 1000
+
+# The first twelve primes: `is_prime` trial-divides by them and uses them as
+# Miller-Rabin bases, which together are exact below the least composite that
+# is a strong pseudoprime to all twelve, 318665857834031151167461 (Sorenson
+# and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_PRIME_INPUT = 318665857834031151167460
+
+# Differences `_rho_divisor` multiplies together before taking one gcd.
+RHO_BATCH = 64
 
 # Largest count `sieve_inert_primes` accepts: the 10^5-th inert prime is
 # 2,747,671, found by sieving to 6.6e6 in about 0.5 s on a 2-core x86 host.
@@ -53,27 +70,80 @@ def sieve_inert_primes(count: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality; adequate for n < 2^63 here only
-    because every caller stays far below that."""
+    """Deterministic primality for n <= MAX_PRIME_INPUT.
+
+    Trial division by the twelve primes 2..37, then a strong probable-prime
+    (Miller-Rabin) test to each of them as base; no composite below
+    MAX_PRIME_INPUT passes all twelve.  Larger n raise ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
+    if n > MAX_PRIME_INPUT:
+        raise ValueError(f"is_prime requires n <= {MAX_PRIME_INPUT}, got {n}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
         return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Brent's rho (Brent 1980).
+
+    Iterates y -> y^2 + c from y = 2, batching RHO_BATCH differences into one
+    gcd; a batch that overshoots to n is replayed one step at a time, and a
+    c whose cycle closes mod n itself is replaced by c + 1.  No randomness:
+    the same n always takes the same steps.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Complete prime factorization of n as ascending (prime, exponent) pairs.
 
-    n = 1 gives the empty list.  Deterministic trial division; inputs are
-    restricted to [1, 2^63) since nothing in this package needs more.
+    n = 1 gives the empty list; inputs are restricted to [1, 2^63).  Primes
+    below TRIAL_LIMIT are divided out by 6k +- 1 trial division, which alone
+    factors every n below TRIAL_LIMIT^2.  A cofactor left above that has
+    only prime factors above TRIAL_LIMIT, so its split by `is_prime` and
+    Brent's rho is sorted and appended to an already ascending list.
     """
     if n < 1 or n > MAX_FACTOR_INPUT:
         raise ValueError(f"factorize requires 1 <= n < 2**63, got {n}")
@@ -86,7 +156,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             pairs.append((p, e))
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < TRIAL_LIMIT:
         for p in (f, f + 2):
             if n % p == 0:
                 e = 0
@@ -95,9 +165,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
                     e += 1
                 pairs.append((p, e))
         f += 6
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
+    if f * f > n:
+        if n > 1:
+            pairs.append((n, 1))
+        return pairs
+    exponents: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            stack += (d, m // d)
+    return pairs + sorted(exponents.items())
 
 
 def crt(residues: list[tuple[int, int]]) -> int:

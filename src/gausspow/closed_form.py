@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb, isqrt, lcm
 
-from .arith import factorize, is_prime
+from .arith import MAX_FACTOR_INPUT, factorize, is_prime
 from .gaussian import GaussianResidue
 from .power_sums import s_mod_naive
 
@@ -37,8 +37,10 @@ MAX_EXPANSION_N = 1000
 
 def witness_primes(k: int, n: int) -> tuple[int, ...]:
     """Primes p with p || n, p^2 - 1 | k and p = 3 (mod 4), ascending."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    if k < 1 or not 1 <= n <= MAX_FACTOR_INPUT:
+        raise ValueError(f"requires k >= 1 and 1 <= n <= {MAX_FACTOR_INPUT}")
+    if k % 8:  # 8 | p^2 - 1 for every odd p, so n need not be factored
+        return ()
     return tuple(
         p
         for p, e in factorize(n)

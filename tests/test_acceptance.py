@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-slow sweeps (30-prime inclusion-exclusion, 1e8 sieve, full search box) carry
-the `slow` marker and can be deselected with `-m "not slow"`.
+slow checks (the full search box, the 1e8 sieve, and the 30-prime bracket
+fixture shared by criteria 5, 6 and 8) carry the `slow` marker and can be
+deselected with `-m "not slow"`.
 """
 
 import time

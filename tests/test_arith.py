@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausspow.arith import (
+    MAX_PRIME_INPUT,
+    TRIAL_LIMIT,
     crt,
     decimal_render,
     factorize,
@@ -28,6 +30,55 @@ def long_division_digits(num, den, digits):
         out.append(str(rem // den))
         rem %= den
     return "".join(out), rem
+
+
+def trial_factorize(n):
+    """Ascending (prime, exponent) pairs of n >= 1 by 6k +- 1 trial division
+    to sqrt(n): the slow oracle that `factorize` must reproduce."""
+    pairs = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                pairs.append((p, e))
+        f += 6
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
+def oracle_is_prime(n):
+    return trial_factorize(n) == [(n, 1)]
+
+
+def oracle_next_prime(n):
+    while not oracle_is_prime(n):
+        n += 1
+    return n
+
+
+# Primes used to build inputs near 2^63, each small enough for the oracle to
+# confirm: 997 and 1009 straddle TRIAL_LIMIT, 2097143 is the largest prime
+# whose cube is below 2^63, 3037000453 * 3037000493 is a balanced semiprime
+# just below 2^63, and 999999999989 is the largest prime below 10^12.
+ORACLE_PRIMES = (
+    997, 1009, 1000003, 2097143, 2147483647, 3037000453, 3037000493,
+    4294967291, 999999999989,
+)
+
+# The largest prime below 2^63 (OEIS A014234), beyond the oracle's reach.
+PRIME_BELOW_2_63 = 2**63 - 25
 
 
 class TestInertPrimes:
@@ -85,6 +136,71 @@ class TestFactorize:
         pairs = factorize(n)
         assert prod(p**e for p, e in pairs) == n
         assert all(is_prime(p) for p, _ in pairs)
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_matches_trial_division_oracle(self, n):
+        assert factorize(n) == trial_factorize(n)
+
+    def test_structured_inputs_near_2_63(self):
+        assert all(oracle_is_prime(p) for p in ORACLE_PRIMES)
+        assert 997 < TRIAL_LIMIT < 1009
+        p, q = 3037000453, 3037000493
+        cases = [
+            [(p, 1), (q, 1)],
+            [(2147483647, 1), (4294967291, 1)],
+            [(q, 2)],
+            [(2097143, 3)],
+            [(1000003, 3)],
+            [(1009, 6)],
+            [(2, 23), (999999999989, 1)],
+            [(3, 5), (5, 3), (7, 1), (999999999989, 1)],
+            [(997, 1), (1009, 1), (999999999989, 1)],
+            [(2, 62)],
+            [(3, 39)],
+            [(7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)],
+            [(PRIME_BELOW_2_63, 1)],
+        ]
+        for pairs in cases:
+            n = prod(p**e for p, e in pairs)
+            assert n < 2**63
+            assert factorize(n) == pairs, n
+        assert prod(p**e for p, e in cases[-2]) == 2**63 - 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2**30, max_value=3037000400),
+        st.integers(min_value=2**30, max_value=3037000400),
+    )
+    def test_balanced_semiprimes(self, a, b):
+        p, q = sorted((oracle_next_prime(a), oracle_next_prime(b)))
+        expected = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert factorize(p * q) == expected
+
+
+class TestIsPrime:
+    def test_matches_oracle_below_1e5(self):
+        assert not any(is_prime(n) for n in range(-3, 2))
+        for n in range(2, 10**5):
+            assert is_prime(n) == oracle_is_prime(n), n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # a Carmichael number; the least strong pseudoprime to bases 2, 3, 5
+        # and 7; the least to every prime base up to 31, which only base 37
+        # exposes
+        for n in (561, 3215031751, 3825123056546413051):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (*ORACLE_PRIMES, 2**61 - 1, PRIME_BELOW_2_63):
+            assert is_prime(n)
+        assert not is_prime(PRIME_BELOW_2_63 - 2)
+
+    def test_bound(self):
+        # the bound sits just below the least strong pseudoprime to all twelve
+        # bases, so the first input refused is that composite
+        assert not is_prime(MAX_PRIME_INPUT)
+        with pytest.raises(ValueError):
+            is_prime(MAX_PRIME_INPUT + 1)
 
 
 class TestCrt:

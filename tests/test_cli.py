@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gausspow
-from gausspow.arith import MAX_INERT_COUNT
+from gausspow.arith import MAX_FACTOR_INPUT, MAX_INERT_COUNT
 from gausspow.cli import MAX_VERIFY_WORK, main
 from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
 from gausspow.congruence_sets import MAX_WITNESS_N
@@ -293,6 +293,21 @@ class TestInputCaps:
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, *argv)
         return code, out, time.perf_counter() - start
+
+    def test_sigma_closed_at_cap(self, capsys):
+        # 8 | k makes n be factored: the largest prime below 2^63, then a
+        # product of two primes near 2^31.5, the slowest case for rho
+        for n in (2**63 - 25, 3037000453 * 3037000493):
+            code, out, seconds = self.timed(capsys, "sigma", "--k", "8", "--n", str(n))
+            assert code == 0
+            assert seconds < 10.0
+            assert out.splitlines()[0] == f"0+0i (mod {n})"
+
+    def test_sigma_closed_above_cap(self, capsys):
+        for k in ("8", "2"):
+            code, _, err = run_cli(capsys, "sigma", "--k", k, "--n", str(2**63))
+            assert code == 2
+            assert str(MAX_FACTOR_INPUT) in err
 
     def test_sigma_expansion_at_cap(self, capsys):
         k, n = str(MAX_EXPANSION_K), str(MAX_EXPANSION_N)

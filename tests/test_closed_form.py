@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from gausspow.arith import MAX_FACTOR_INPUT, factorize
 from gausspow.closed_form import (
     MAX_ROW_K,
     closed_period,
@@ -28,6 +29,23 @@ class TestWitnessPrimes:
         assert witness_primes(4, 12) == ()  # 8 does not divide 4
         assert witness_primes(48, 21) == (3, 7)
         assert witness_primes(48, 147) == (3,)  # 7^2 | 147
+
+    def test_k_mod_8_guard_matches_the_full_predicate(self):
+        for k in range(1, 201):
+            for n in range(1, 201):
+                unguarded = tuple(
+                    p
+                    for p, e in factorize(n)
+                    if e == 1 and p % 4 == 3 and k % (p * p - 1) == 0
+                )
+                assert witness_primes(k, n) == unguarded, (k, n)
+
+    def test_n_range_does_not_depend_on_k(self):
+        for k in (1, 8):
+            with pytest.raises(ValueError):
+                witness_primes(k, MAX_FACTOR_INPUT + 1)
+            with pytest.raises(ValueError):
+                witness_primes(k, 0)
 
     def test_row_witnesses_are_the_column_witnesses_of_p(self):
         # p witnesses in row k exactly when it witnesses the cell (k, p)
