@@ -69,9 +69,10 @@ def is_half_epsilon_case(k: int, n: int) -> bool:
 
 def sigma_closed(k: int, n: int) -> GaussianResidue:
     """sigma_k(n) mod n by the closed formula."""
+    witnesses = witness_primes(k, n)  # checks k and n first, whatever the case
     if is_half_epsilon_case(k, n):
         return GaussianResidue(n // 2, n // 2, n)
-    total = sum(n * n // (p * p) for p in witness_primes(k, n))
+    total = sum(n * n // (p * p) for p in witnesses)
     return GaussianResidue(-total % n, 0, n)
 
 

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-slow checks (the full search box, the 1e8 sieve, and the 30-prime bracket
-fixture shared by criteria 5, 6 and 8) carry the `slow` marker and can be
-deselected with `-m "not slow"`.
+slow checks (the k, m < 100 search box, about 0.1 s now that the search
+sieves by residues, the 1e8 sieve, and the 30-prime bracket fixture shared
+by criteria 5, 6 and 8) carry the `slow` marker and can be deselected with
+`-m "not slow"`.
 """
 
 import time

@@ -16,6 +16,7 @@ from gausspow.cli import MAX_VERIFY_WORK, main
 from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
 from gausspow.congruence_sets import MAX_WITNESS_N
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
+from gausspow.moser_search import SEARCH_GUARD
 
 
 def run_cli(capsys, *argv):
@@ -247,19 +248,26 @@ class TestWitnessAndSearch:
 
 class TestImport:
     @staticmethod
-    def loaded_by_cli_import(module):
+    def loaded_by_cli_import(module, argv=()):
+        """Whether importing gausspow.cli, then running `main(argv)` if argv
+        is given, leaves `module` in sys.modules of a fresh interpreter."""
         src = str(Path(gausspow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = f"import sys, gausspow.cli; print({module!r} in sys.modules)"
+        run = f"gausspow.cli.main({list(argv)!r}); " if argv else ""
+        probe = f"import sys, gausspow.cli; {run}print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout
-        return out.strip() == "True"
+        return out.strip().splitlines()[-1] == "True"
 
     def test_cli_import_leaves_numpy_out(self):
         assert not self.loaded_by_cli_import("numpy")
+
+    def test_search_run_leaves_numpy_out(self):
+        argv = ["em-search", "--kmax", "30", "--mmax", "30"]
+        assert not self.loaded_by_cli_import("numpy", argv)
 
     @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
     def test_cli_import_leaves_process_pools_out(self, module):
@@ -308,6 +316,18 @@ class TestInputCaps:
             code, _, err = run_cli(capsys, "sigma", "--k", k, "--n", str(2**63))
             assert code == 2
             assert str(MAX_FACTOR_INPUT) in err
+
+    def test_sigma_half_epsilon_case_at_cap(self, capsys):
+        # odd k > 1 with n = 2 (mod 4) needs no witness set, (n/2)(1 + i)
+        n = 2**63 - 2
+        code, out, _ = run_cli(capsys, "sigma", "--k", "3", "--n", str(n))
+        assert code == 0
+        assert out.splitlines()[0] == f"{n // 2}+{n // 2}i (mod {n})"
+
+    def test_sigma_half_epsilon_case_above_cap(self, capsys):
+        code, _, err = run_cli(capsys, "sigma", "--k", "3", "--n", str(2**63 + 2))
+        assert code == 2
+        assert str(MAX_FACTOR_INPUT) in err
 
     def test_sigma_expansion_at_cap(self, capsys):
         k, n = str(MAX_EXPANSION_K), str(MAX_EXPANSION_N)
@@ -397,6 +417,22 @@ class TestInputCaps:
         code, _, err = run_cli(capsys, "witness", "--n", str(MAX_WITNESS_N + 1))
         assert code == 2
         assert "error" in err
+
+    def test_search_at_cap(self, capsys):
+        code, out, seconds = self.timed(
+            capsys, "em-search", "--kmax", str(SEARCH_GUARD), "--mmax", str(SEARCH_GUARD)
+        )
+        assert code == 0
+        assert seconds < 30.0
+        assert out == '{"k": 2, "m": 3, "lhs_re": 0, "lhs_im": 18}\n'
+
+    def test_search_above_cap(self, capsys):
+        for kmax, mmax in ((SEARCH_GUARD + 1, 10), (10, SEARCH_GUARD + 1)):
+            code, _, err = run_cli(
+                capsys, "em-search", "--kmax", str(kmax), "--mmax", str(mmax)
+            )
+            assert code == 2
+            assert str(SEARCH_GUARD) in err
 
     def test_primes_at_cap(self, capsys):
         code, out, seconds = self.timed(

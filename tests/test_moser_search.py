@@ -1,11 +1,45 @@
-"""Equation search: exactness, incremental bookkeeping, prefilter soundness."""
+"""Equation search: exactness, incremental bookkeeping, prefilter soundness,
+and each residue filter of the sieve against the exact sum it reduces."""
 
 import random
 
 import pytest
 
-from gausspow.gaussian import GaussianInt, sigma_exact
-from gausspow.moser_search import norm_prefilter, search_solutions
+from gausspow.gaussian import GaussianInt, _pow_exact, sigma_exact
+from gausspow.moser_search import (
+    SIEVE_PRIMES,
+    Solution,
+    _sieve_residues,
+    norm_prefilter,
+    search_solutions,
+)
+
+
+def exact_square_sums(k, m_max):
+    """(m, sigma_exact(k, m-1)) for 2 <= m < m_max, growing the square
+    incrementally: enlarging the side from t-1 to t adds the new row b = t
+    and column a = t."""
+    sre = sim = 0
+    for t in range(1, m_max - 1):
+        for a in range(1, t + 1):
+            re, im = _pow_exact(a, t, k)
+            sre += re
+            sim += im
+        for b in range(1, t):
+            re, im = _pow_exact(t, b, k)
+            sre += re
+            sim += im
+        yield t + 1, GaussianInt(sre, sim)
+
+
+def oracle_search(k_max, m_max):
+    """The search with no sieve: every pair is compared exactly."""
+    return [
+        Solution(k, m, lhs)
+        for k in range(1, k_max)
+        for m, lhs in exact_square_sums(k, m_max)
+        if lhs == GaussianInt(m, m) ** k
+    ]
 
 
 class TestPrefilter:
@@ -72,3 +106,25 @@ class TestSearch:
             search_solutions(501, 10)
         with pytest.raises(ValueError):
             search_solutions(10, 0)
+
+
+class TestSieve:
+    def test_each_filter_reduces_the_exact_sum(self):
+        # every filter must compare sigma_exact(k, m-1) reduced by its
+        # modulus with (m + mi)^k, or it could reject a true solution
+        for k in range(1, 40):
+            for m, lhs in exact_square_sums(k, 40):
+                moduli = []
+                for n, residue in _sieve_residues(k, m):
+                    moduli.append(n)
+                    assert residue == (lhs.re % n, lhs.im % n), (k, m, n)
+                assert moduli == [m - 1, m, *SIEVE_PRIMES]
+
+    def test_oracle_matches_direct_sums(self):
+        for k in (1, 2, 7):
+            for m, lhs in exact_square_sums(k, 12):
+                assert lhs == sigma_exact(k, m - 1), (k, m)
+
+    @pytest.mark.slow
+    def test_matches_exact_oracle_on_150_box(self):
+        assert search_solutions(150, 150) == oracle_search(150, 150)
