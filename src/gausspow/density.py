@@ -37,14 +37,12 @@ from .closed_form import row_witness_primes
 # 1 s on a 2-core x86 host (32k states at the widest step).
 MAX_UNION_PRIMES = 40
 
-# Sum of 1/p^3 over primes p = 3 (mod 4), to 40 digits (OEIS A085992).
-INERT_CUBE_RECIPROCAL_SUM = Fraction(
-    410075565664730319288865488519600259243, 10**40
-)
-
 # Upper bound for the tail sum of 1/p^3 over inert primes beyond the sieve
 # limit; valid whenever the limit is at least 10^6 (the bound tightens as the
-# limit grows, so larger limits stay covered).
+# limit grows, so larger limits stay covered).  Certificate, checked in
+# tests/test_density.py: the sum over inert 10^6 < p <= Y = 10^7 of
+# ceil(10^40 / p^3) / 10^40, plus 1/Y^3 + 1/(8 Y^2) for every n = 3 (mod 4)
+# beyond Y (first term, then an integral), is 1.857e-14.
 TAIL_REMAINDER = Fraction(2, 10**14)
 TAIL_REMAINDER_MIN_LIMIT = 10**6
 
@@ -253,33 +251,35 @@ def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
 def sieve_complement_count(limit: int, primes, chunk: int = 1 << 24) -> int:
     """Count n <= limit lying in some U_p, by direct progression marking.
 
-    Independent oracle for `union_density`: marks multiples of p^3 - p and
-    unmarks those of p(p^3 - p) in boolean chunks, then counts the union.
+    Independent oracle for `union_density`: it marks the progressions and
+    never runs the dynamic program.  For p = 3 (mod 4), 8 divides p^2 - 1
+    (p is odd) and 3 divides p^3 - p = (p - 1) p (p + 1), so 24 | p^3 - p
+    and every U_p lies on the lattice n = 24 j.  With u = (p^3 - p)/24,
+    U_p is the set of j that are multiples t u of u with p not dividing t;
+    each nonzero residue of t mod p is one stride of step p u.  One boolean
+    array over j, `chunk // 24` entries at a time (`chunk` counts n), takes
+    those strides for every prime and is then counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
     import numpy as np
 
     fam = validate_prime_family(primes)
-    steps = [(p**3 - p, p * (p**3 - p)) for p in fam]
+    steps = [((p**3 - p) // 24, p) for p in fam]
+    top = limit // 24
+    span = max(1, chunk // 24)
+    marked = np.zeros(min(span, top + 1), dtype=bool)
     count = 0
-    marked = np.zeros(chunk, dtype=bool)
-    single = np.zeros(chunk, dtype=bool)
-    for lo in range(1, limit + 1, chunk):
-        hi = min(lo + chunk, limit + 1)
+    for lo in range(0, top + 1, span):
+        hi = min(lo + span, top + 1)
         width = hi - lo
         marked[:width] = False
-        for u, pu in steps:
-            if u >= hi:
-                continue
-            single[:width] = False
-            first = (lo + u - 1) // u * u
-            if first < hi:
-                single[first - lo : width : u] = True
-            first = (lo + pu - 1) // pu * pu
-            if first < hi:
-                single[first - lo : width : pu] = False
-            marked[:width] |= single[:width]
+        for u, p in steps:
+            # one multiple t u per residue of t mod p, from the first in the chunk
+            first = -(-lo // u)
+            for t in range(first, min(first + p, (hi - 1) // u + 1)):
+                if t % p:
+                    marked[t * u - lo : width : p * u] = True
         count += int(np.count_nonzero(marked[:width]))
     return count
 

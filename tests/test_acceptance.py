@@ -2,8 +2,9 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
 slow checks (the k, m < 100 search box, about 0.1 s now that the search
-sieves by residues, the 1e8 sieve, and the 30-prime bracket fixture shared
-by criteria 5, 6 and 8) carry the `slow` marker and can be deselected with
+sieves by residues, the 1e8 sieve, a few milliseconds now that it marks the
+lattice n = 24 j, and the 30-prime bracket fixture shared by criteria 5, 6
+and 8) carry the `slow` marker and can be deselected with
 `-m "not slow"`.
 """
 

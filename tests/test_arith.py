@@ -293,3 +293,14 @@ class TestPrimeSieve:
     @given(st.integers(min_value=0, max_value=3000))
     def test_sieve_consistent(self, n):
         assert primes_up_to(n) == [m for m in range(n + 1) if is_prime(m)]
+
+    def test_every_limit_to_2000_matches_is_prime(self):
+        primes = [m for m in range(2001) if is_prime(m)]
+        inert = [p for p in primes if p % 4 == 3]
+        for n in range(2001):
+            assert primes_up_to(n) == [p for p in primes if p <= n], n
+            assert inert_primes_up_to(n) == [p for p in inert if p <= n], n
+
+    def test_counts_at_1e6(self):
+        assert len(primes_up_to(10**6)) == 78498
+        assert len(inert_primes_up_to(10**6)) == 39322

@@ -269,6 +269,14 @@ class TestImport:
         argv = ["em-search", "--kmax", "30", "--mmax", "30"]
         assert not self.loaded_by_cli_import("numpy", argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["primes", "--count", "30"], ["density", "m", "--primes", "8"]],
+        ids=["primes", "density-m"],
+    )
+    def test_prime_sieve_runs_leave_numpy_out(self, argv):
+        assert not self.loaded_by_cli_import("numpy", argv)
+
     @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
     def test_cli_import_leaves_process_pools_out(self, module):
         assert not self.loaded_by_cli_import(module)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from gausspow.arith import inert_primes_up_to, is_prime, sieve_inert_primes
 from gausspow.congruence_sets import outside_row_zeros
 from gausspow.density import (
-    INERT_CUBE_RECIPROCAL_SUM,
     MAX_UNION_PRIMES,
     TAIL_REMAINDER,
+    TAIL_REMAINDER_MIN_LIMIT,
     TAIL_SCALE,
     DensityInterval,
     _merge_sum,
@@ -29,20 +29,6 @@ from gausspow.density import (
     witness_density,
     zero_row_density,
 )
-
-
-def unreduced_sum(terms):
-    """Sum (num, den) pairs by balanced pairwise merging, left unreduced: the
-    denominators p^3 are coprime, so reducing would only pay for big gcds."""
-    while len(terms) > 1:
-        nxt = [
-            (n1 * d2 + n2 * d1, d1 * d2)
-            for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])
-        ]
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
 
 
 def qualifying_primes(k):
@@ -332,20 +318,19 @@ class TestTailBound:
         assert _merge_sum([]) == 0
 
 
-class TestStoredRemainder:
-    def test_remainder_bound_certifies_cube_sum_constant(self):
-        # the partial sum of 1/p^3 over inert p up to the 99999th prime must
-        # sit within TAIL_REMAINDER below the 40-digit series constant
-        terms = [(1, p**3) for p in inert_primes_up_to(1299689)]
-        num, den = unreduced_sum(terms)
-        theta_num = INERT_CUBE_RECIPROCAL_SUM.numerator
-        theta_den = INERT_CUBE_RECIPROCAL_SUM.denominator
-        # 0 < theta - partial < 2e-14, unreduced cross-multiplied
-        assert theta_num * den > num * theta_den
-        gap_num = theta_num * den - num * theta_den  # over theta_den * den
-        assert gap_num * TAIL_REMAINDER.denominator < (
-            TAIL_REMAINDER.numerator * theta_den * den
-        )
+class TestTailRemainderCertificate:
+    def test_remainder_bounds_inert_cube_tail(self):
+        # sum of 1/p^3 over inert p > 10^6: each sieved term to Y rounded up
+        # over 10^40, then every n = 3 (mod 4) beyond Y bounded by its first
+        # term plus (1/4) of the integral of x^-3 from there
+        y = 10**7
+        scale = 10**40
+        primes = [p for p in inert_primes_up_to(y) if p > TAIL_REMAINDER_MIN_LIMIT]
+        assert len(primes) == 293076
+        sieved = sum(-(-scale // p**3) for p in primes)
+        bound = Fraction(sieved, scale) + Fraction(1, y**3) + Fraction(1, 8 * y**2)
+        assert bound <= TAIL_REMAINDER
+        assert bound > Fraction(18, 10**15)  # 1.857e-14: not vacuously small
 
 
 class TestDiagonalBracket:
@@ -366,7 +351,7 @@ class TestDiagonalBracket:
 
     def test_largest_accepted_input_is_bounded(self):
         # MAX_UNION_PRIMES with the 2e7 sieve cap: the slowest bracket the CLI
-        # accepts, about 3.5 s on a 2-core host
+        # accepts, about 2 s on a 2-core host
         start = time.perf_counter()
         result = diagonal_bracket(MAX_UNION_PRIMES, 2 * 10**7)
         assert time.perf_counter() - start < 30.0
@@ -378,6 +363,49 @@ class TestDiagonalBracket:
         assert large.interval.lower >= small.interval.lower
         assert large.interval.upper <= small.interval.upper
         assert small.interval.lower <= large.interval.lower <= large.interval.upper
+
+
+def chunked_marking_count(limit, primes, chunk=1 << 24):
+    """Count n <= limit in some U_p over all of n, one chunk at a time: per
+    prime, mark the multiples of p^3 - p in a scratch array, unmark those of
+    p (p^3 - p), and or the scratch array into the union."""
+    import numpy as np
+
+    steps = [(p**3 - p, p * (p**3 - p)) for p in primes]
+    count = 0
+    marked = np.zeros(chunk, dtype=bool)
+    single = np.zeros(chunk, dtype=bool)
+    for lo in range(1, limit + 1, chunk):
+        hi = min(lo + chunk, limit + 1)
+        width = hi - lo
+        marked[:width] = False
+        for u, pu in steps:
+            if u >= hi:
+                continue
+            single[:width] = False
+            first = (lo + u - 1) // u * u
+            if first < hi:
+                single[first - lo : width : u] = True
+            first = (lo + pu - 1) // pu * pu
+            if first < hi:
+                single[first - lo : width : pu] = False
+            marked[:width] |= single[:width]
+        count += int(np.count_nonzero(marked[:width]))
+    return count
+
+
+FIRST_TWELVE = sieve_inert_primes(12)
+
+
+@st.composite
+def sieve_cases(draw):
+    """A subfamily of the first 12 inert primes (3 included or not), a chunk
+    in 1..2^20 (below 24 one time in three), and a limit up to 2e6, held to
+    1000 chunks so the oracle stays fast."""
+    fam = sorted(draw(st.lists(st.sampled_from(FIRST_TWELVE), unique=True)))
+    chunk = draw(st.one_of(st.integers(1, 23), st.integers(24, 2**20), st.integers(24, 2**20)))
+    limit = draw(st.integers(1, min(2 * 10**6, 1000 * chunk)))
+    return fam, limit, chunk
 
 
 class TestSieveOracle:
@@ -405,6 +433,21 @@ class TestSieveOracle:
         for n in (10**6, 10**7):
             count = sieve_complement_count(n, fam)
             assert abs(Fraction(count, n) - dens) <= Fraction(progressions, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sieve_cases())
+    @example(([7, 11, 19], 10**5, 5))
+    @example(([7, 23, 31, 43], 2 * 10**6, 1 << 20))
+    @example((list(FIRST_TWELVE), 2 * 10**6, 4001))
+    def test_lattice_sieve_matches_chunked_marking(self, case):
+        fam, limit, chunk = case
+        expected = chunked_marking_count(limit, fam, chunk)
+        assert sieve_complement_count(limit, fam, chunk=chunk) == expected
+        assert sieve_complement_count(limit, fam) == expected
+
+    def test_pinned_counts_at_1e8(self):
+        assert sieve_complement_count(10**8, sieve_inert_primes(24)) == 2899920
+        assert sieve_complement_count(10**8, sieve_inert_primes(30)) == 2899928
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
