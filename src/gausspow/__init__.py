@@ -17,7 +17,6 @@ from .closed_form import (
     witness_primes,
 )
 from .congruence_sets import (
-    WitnessReport,
     diagonal_witness,
     divides_sigma,
     eight_multiple_exclusion,
@@ -31,14 +30,13 @@ from .density import (
     incompatible,
     intersection_density,
     sieve_complement_count,
-    squarefree_term,
     tail_bound,
     union_density,
     witness_density,
     zero_row_density,
 )
 from .gaussian import GaussianInt, GaussianResidue, sigma_brute, sigma_exact
-from .moser_search import Solution, norm_prefilter, search_solutions
+from .moser_search import Solution, search_solutions
 from .power_sums import carlitz_parity, divides_s, s_mod_closed, s_mod_naive
 
 __version__ = "0.1.0"
@@ -49,7 +47,6 @@ __all__ = [
     "GaussianInt",
     "GaussianResidue",
     "Solution",
-    "WitnessReport",
     "binom_mod_p",
     "carlitz_parity",
     "decimal_render",
@@ -63,7 +60,6 @@ __all__ = [
     "hermite_sum",
     "incompatible",
     "intersection_density",
-    "norm_prefilter",
     "outside_row_zeros",
     "row_witness_primes",
     "s_mod_closed",
@@ -76,7 +72,6 @@ __all__ = [
     "sigma_exact",
     "sigma_expansion",
     "signed_lacunary_sum",
-    "squarefree_term",
     "tail_bound",
     "union_density",
     "witness_density",

@@ -30,7 +30,7 @@ MAX_PRIME_INPUT = 318665857834031151167460
 RHO_BATCH = 64
 
 # Largest count `sieve_inert_primes` accepts: the 10^5-th inert prime is
-# 2,747,671, found by sieving to 6.6e6 in about 0.08 s on a 2-core x86 host.
+# 2,747,671, found by one sieve to 3.6e6 in about 0.05 s on a 2-core x86 host.
 MAX_INERT_COUNT = 10**5
 
 
@@ -71,14 +71,18 @@ def sieve_inert_primes(count: int) -> tuple[int, ...]:
     """
     if not 1 <= count <= MAX_INERT_COUNT:
         raise ValueError(f"count must be in [1, {MAX_INERT_COUNT}]")
-    # p_n < n (ln n + ln ln n) for n >= 6; inert primes are about half of all
-    # primes, so sieve for ~2*count primes and grow if the estimate was short.
-    bound = 100
-    while True:
-        found = inert_primes_up_to(bound)
-        if len(found) >= count:
-            return tuple(found[:count])
-        bound *= 4
+    return tuple(inert_primes_up_to(_inert_prime_bound(count))[:count])
+
+
+def _inert_prime_bound(count: int) -> int:
+    """An integer bound on the count-th inert prime, for count <= MAX_INERT_COUNT.
+
+    The m-th prime is below m (ln m + ln ln m) for m >= 6 (Rosser 1941), and
+    bit_length(m) >= log2 m exceeds ln m + ln ln m.  About half the primes
+    are inert, so m = 2 count; the tests sieve once to the bound at the cap
+    and check it against every accepted count.
+    """
+    return 2 * count * (2 * count).bit_length()
 
 
 def is_prime(n: int) -> bool:

@@ -11,19 +11,17 @@ Each membership test below is decided from a *description* of the set
 (progression unions, witness primes), never by evaluating sigma itself, so
 they can be cross-checked against the evaluation routes.  The complement of
 a column's zero set is `not divides_sigma`; the row complement keeps its own
-progression-union test, `outside_row_zeros`.
+progression-union test, `outside_row_zeros`.  The diagonal is the cell
+predicate `witness_primes(n, n)`: p || n and p^2 - 1 | n together say
+p^3 - p | n, since p and p^2 - 1 are coprime.  `diagonal_nonzero_up_to`
+lists the same complement independently, by walking the progressions of
+multiples of p^3 - p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import inert_primes_up_to, is_prime
+from .arith import is_prime
 from .closed_form import is_half_epsilon_case, row_witness_primes, witness_primes
-
-# Largest n `diagonal_witness` accepts: it tries the ~n^(1/3)/4 candidates
-# p = 3 (mod 4) with p^3 - p <= n, about 0.1 s at 10^18 on a 2-core x86 host.
-MAX_WITNESS_N = 10**18
 
 
 def divides_sigma(k: int, n: int) -> bool:
@@ -68,33 +66,15 @@ def eight_multiple_exclusion(n: int, k_limit: int = 10_000) -> tuple[bool, bool]
     return subset_holds, equality_holds
 
 
-@dataclass(frozen=True, slots=True)
-class WitnessReport:
-    """Smallest diagonal witness prime for n, or None when n | sigma_n(n)."""
-
-    n: int
-    witness: int | None
-
-
-def diagonal_witness(n: int) -> WitnessReport:
-    """Smallest prime p = 3 (mod 4) with p^3 - p | n and p^2 not dividing n.
-
-    p^3 - p | n forces p^3 - p <= n, so only primes up to about n^(1/3) can
-    witness; absence of a witness means sigma_n(n) = 0 (mod n).
-    """
-    if not 1 <= n <= MAX_WITNESS_N:
-        raise ValueError(f"n must be in [1, {MAX_WITNESS_N}]")
-    p = 3
-    while p * p * p - p <= n:
-        if n % (p * p * p - p) == 0 and n % (p * p) != 0 and is_prime(p):
-            return WitnessReport(n, p)
-        p += 4
-    return WitnessReport(n, None)
+def diagonal_witness(n: int) -> int | None:
+    """Smallest prime p = 3 (mod 4) with p^3 - p | n and p^2 not dividing n,
+    or None when there is none, that is when sigma_n(n) = 0 (mod n)."""
+    return min(witness_primes(n, n), default=None)
 
 
 def witness_forces_24(n: int) -> bool:
     """Structural check: a diagonal witness for n implies 24 | n."""
-    return diagonal_witness(n).witness is None or n % 24 == 0
+    return diagonal_witness(n) is None or n % 24 == 0
 
 
 def diagonal_nonzero_up_to(limit: int) -> list[int]:
@@ -104,9 +84,9 @@ def diagonal_nonzero_up_to(limit: int) -> list[int]:
     candidates are multiples of p^3 - p not killed by p^2.
     """
     hits = set()
-    for p in inert_primes_up_to(max(3, round(limit ** (1 / 3)) + 2)):
-        u = p * p * p - p
-        for m in range(u, limit + 1, u):
-            if m % (p * p) != 0:
-                hits.add(m)
+    p = 3
+    while (u := p * p * p - p) <= limit:
+        if is_prime(p):
+            hits.update(m for m in range(u, limit + 1, u) if m % (p * p))
+        p += 4
     return sorted(hits)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import (
-    factorize,
     inert_primes_up_to,
     is_prime,
     sieve_inert_primes,
@@ -97,16 +96,6 @@ def intersection_density(primes) -> Fraction:
         phi *= q - 1
         common = lcm(common, q**4 - q**2)
     return Fraction(phi, common)
-
-
-def squarefree_term(m: int) -> Fraction:
-    """Intersection density addressed by a squarefree product of inert primes."""
-    if m <= 1:
-        raise ValueError("m must be > 1")
-    pairs = factorize(m)
-    if any(e != 1 for _, e in pairs) or any(p % 4 != 3 for p, _ in pairs):
-        raise ValueError("m must be squarefree with all factors = 3 (mod 4)")
-    return intersection_density([p for p, _ in pairs])
 
 
 def _live_part(n: int, r: int) -> int:

@@ -48,18 +48,6 @@ class Solution:
     value: GaussianInt
 
 
-def norm_prefilter(k: int, m: int) -> bool:
-    """Cheap necessary condition: the two sides' norms have equal bit length.
-
-    False guarantees the equation fails at (k, m); True only means the
-    magnitudes are close enough that the exact comparison must run.
-    """
-    if k < 1 or m < 2:
-        raise ValueError("requires k >= 1 and m >= 2")
-    lhs_norm = sigma_exact(k, m - 1).norm()
-    return lhs_norm.bit_length() == ((2 * m * m) ** k).bit_length()
-
-
 def _sum_mod_m(k: int, m: int) -> tuple[int, int]:
     """sigma_exact(k, m-1) mod m, as sigma_k(m) less its last row and column."""
     r = sigma_closed(k, m)

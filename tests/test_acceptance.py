@@ -192,9 +192,7 @@ def test_criterion_08_sieve_oracle(bracket30):
 def test_criterion_09_witness_structure():
     with criterion("criterion 9: witnessed n below 1e5 are multiples of 24"):
         start = time.perf_counter()
-        witnessed = [
-            n for n in range(1, 10**5 + 1) if diagonal_witness(n).witness is not None
-        ]
+        witnessed = [n for n in range(1, 10**5 + 1) if diagonal_witness(n) is not None]
         assert witnessed[0] == 24
         assert all(n % 24 == 0 for n in witnessed)
         assert witnessed == diagonal_nonzero_up_to(10**5)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausspow.arith import (
+    MAX_INERT_COUNT,
     MAX_PRIME_INPUT,
     TRIAL_LIMIT,
+    _inert_prime_bound,
     crt,
     decimal_render,
     factorize,
@@ -96,6 +98,13 @@ class TestInertPrimes:
         assert fam[-1] == 263
         assert all(p % 4 == 3 and is_prime(p) for p in fam)
         assert list(fam) == sorted(fam)
+
+    def test_bound_holds_for_every_accepted_count(self):
+        # one sieve to the bound at the cap covers every smaller count
+        found = inert_primes_up_to(_inert_prime_bound(MAX_INERT_COUNT))
+        assert len(found) >= MAX_INERT_COUNT
+        for count in range(1, MAX_INERT_COUNT + 1):
+            assert found[count - 1] <= _inert_prime_bound(count), count
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,8 @@ import pytest
 
 import gausspow
 from gausspow.arith import MAX_FACTOR_INPUT, MAX_INERT_COUNT
-from gausspow.cli import MAX_VERIFY_WORK, main
+from gausspow.cli import MAX_TABLE_SIDE, MAX_VERIFY_WORK, main
 from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
-from gausspow.congruence_sets import MAX_WITNESS_N
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
 from gausspow.moser_search import SEARCH_GUARD
 
@@ -414,17 +413,29 @@ class TestInputCaps:
             assert code == 2
             assert "error" in err
 
-    def test_witness_at_cap(self, capsys):
-        # 3 | p^3 - p for every p, so 10^18 has no witness and the loop runs out
-        code, out, seconds = self.timed(capsys, "witness", "--n", str(MAX_WITNESS_N))
+    def test_table_at_cap(self, capsys):
+        side = str(MAX_TABLE_SIDE)
+        code, out, seconds = self.timed(
+            capsys, "table", "--kmax", side, "--nmax", side, "--format", "json"
+        )
         assert code == 0
         assert seconds < 10.0
-        assert json.loads(out) == {"n": MAX_WITNESS_N, "witness": None}
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(rows[-1]) == MAX_TABLE_SIDE
+
+    def test_witness_at_cap(self, capsys):
+        # 8 | n makes n be factored: 8 times a product of two primes near 2^30,
+        # the slowest case for rho; 2^63 - 1 is odd and needs no factoring
+        for n in (8 * 1073741789 * 1073741783, MAX_FACTOR_INPUT):
+            code, out, seconds = self.timed(capsys, "witness", "--n", str(n))
+            assert code == 0
+            assert seconds < 10.0
+            assert json.loads(out) == {"n": n, "witness": None}
 
     def test_witness_above_cap(self, capsys):
-        code, _, err = run_cli(capsys, "witness", "--n", str(MAX_WITNESS_N + 1))
+        code, _, err = run_cli(capsys, "witness", "--n", str(MAX_FACTOR_INPUT + 1))
         assert code == 2
-        assert "error" in err
+        assert str(MAX_FACTOR_INPUT) in err
 
     def test_search_at_cap(self, capsys):
         code, out, seconds = self.timed(

@@ -1,7 +1,10 @@
 """Set-level membership predicates vs the evaluation routes."""
 
+import random
+
 import pytest
 
+from gausspow.arith import inert_primes_up_to, is_prime
 from gausspow.closed_form import sigma_closed
 from gausspow.congruence_sets import (
     diagonal_nonzero_up_to,
@@ -12,6 +15,18 @@ from gausspow.congruence_sets import (
     witness_forces_24,
 )
 from gausspow.gaussian import sigma_brute_rows
+
+
+def candidate_witness(n):
+    """The diagonal witness without factoring n: the smallest p = 3, 7, 11, ...
+    with p^3 - p | n, p^2 not dividing n and p prime.  p^3 - p | n bounds the
+    candidates by p^3 - p <= n."""
+    p = 3
+    while p * p * p - p <= n:
+        if n % (p * p * p - p) == 0 and n % (p * p) != 0 and is_prime(p):
+            return p
+        p += 4
+    return None
 
 
 class TestDividesSigma:
@@ -66,15 +81,14 @@ class TestEightMultipleExclusion:
 
 class TestDiagonalWitness:
     def test_examples(self):
-        assert diagonal_witness(24).witness == 3
+        assert diagonal_witness(24) == 3
         assert sigma_closed(24, 24).re == 8  # diagonal entry is nonzero
-        assert diagonal_witness(72).witness is None  # 9 | 72 kills p = 3
-        assert diagonal_witness(1).witness is None
+        assert diagonal_witness(72) is None  # 9 | 72 kills p = 3
+        assert diagonal_witness(1) is None
 
     def test_witness_invariants(self):
         for n in (24, 48, 120, 336, 2184):
-            rep = diagonal_witness(n)
-            p = rep.witness
+            p = diagonal_witness(n)
             assert p is not None
             assert p % 4 == 3
             assert n % (p**3 - p) == 0
@@ -83,7 +97,36 @@ class TestDiagonalWitness:
     def test_none_iff_diagonal_zero_small(self):
         for n in range(1, 2001):
             zero = sigma_closed(n, n).is_zero()
-            assert (diagonal_witness(n).witness is None) == zero, n
+            assert (diagonal_witness(n) is None) == zero, n
+
+
+class TestCandidateWitnessOracle:
+    """`diagonal_witness` factors n; the oracle tries every candidate p."""
+
+    def test_every_n_up_to_2e5(self):
+        for n in range(1, 2 * 10**5 + 1):
+            assert diagonal_witness(n) == candidate_witness(n), n
+
+    def test_seeded_multiples_of_24(self):
+        rng = random.Random(20261018)
+        for _ in range(1000):
+            n = 24 * rng.randrange(1, 10**12 // 24)
+            assert diagonal_witness(n) == candidate_witness(n), n
+
+    def test_witness_progressions(self):
+        # c (p^3 - p) has a witness no larger than p unless p | c; p^2 | n
+        # removes p itself, and the smaller witnesses decide
+        rng = random.Random(8)
+        for p in inert_primes_up_to(1000):
+            u = p**3 - p
+            for c in (1, *rng.sample(range(2, 1000), 5)):
+                n = c * u
+                assert diagonal_witness(n) == candidate_witness(n), n
+                if c % p:
+                    assert diagonal_witness(n) <= p, n
+                n *= p
+                assert diagonal_witness(n) == candidate_witness(n), n
+                assert diagonal_witness(n) != p, n
 
 
 class TestStructure24:
@@ -96,7 +139,7 @@ class TestStructure24:
         assert hits[0] == 24
         assert all(n % 24 == 0 for n in hits)
         # the progression-walk agrees with the per-n witness test
-        direct = [n for n in range(1, 10**4 + 1) if diagonal_witness(n).witness]
+        direct = [n for n in range(1, 10**4 + 1) if diagonal_witness(n)]
         assert hits == direct
 
     def test_forces_24_up_to_1e5(self):

@@ -23,7 +23,6 @@ from gausspow.density import (
     intersection_density,
     rounded_tail,
     sieve_complement_count,
-    squarefree_term,
     tail_bound,
     union_density,
     witness_density,
@@ -149,18 +148,6 @@ class TestIntersectionDensity:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             intersection_density([])
-
-
-class TestSquarefreeTerm:
-    def test_examples(self):
-        assert squarefree_term(3) == Fraction(2, 72) == Fraction(1, 36)
-        assert squarefree_term(57) == 0  # 3 * 19 incompatible
-        assert squarefree_term(21) == intersection_density([3, 7])
-
-    def test_rejects_malformed(self):
-        for bad in (1, 9, 15, 45):  # too small / non-squarefree / 5 not inert
-            with pytest.raises(ValueError):
-                squarefree_term(bad)
 
 
 def naive_union(primes):

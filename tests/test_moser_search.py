@@ -1,5 +1,5 @@
-"""Equation search: exactness, incremental bookkeeping, prefilter soundness,
-and each residue filter of the sieve against the exact sum it reduces."""
+"""Equation search: exactness, incremental bookkeeping, and each residue
+filter of the sieve against the exact sum it reduces."""
 
 import random
 
@@ -10,7 +10,6 @@ from gausspow.moser_search import (
     SIEVE_PRIMES,
     Solution,
     _sieve_residues,
-    norm_prefilter,
     search_solutions,
 )
 
@@ -40,29 +39,6 @@ def oracle_search(k_max, m_max):
         for m, lhs in exact_square_sums(k, m_max)
         if lhs == GaussianInt(m, m) ** k
     ]
-
-
-class TestPrefilter:
-    def test_known_solution_passes(self):
-        assert norm_prefilter(2, 3) is True
-
-    def test_magnitude_mismatch_rejected(self):
-        assert norm_prefilter(2, 50) is False
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            norm_prefilter(0, 3)
-        with pytest.raises(ValueError):
-            norm_prefilter(2, 1)
-
-    def test_soundness_near_equality(self):
-        # any exact solution must pass: check over a small box
-        for k in range(1, 12):
-            for m in range(2, 12):
-                lhs = sigma_exact(k, m - 1)
-                rhs = GaussianInt(m, m) ** k
-                if lhs == rhs:
-                    assert norm_prefilter(k, m), (k, m)
 
 
 class TestSearch:

@@ -9,6 +9,9 @@ REMOVED = (
     "imag_part_closed",
     "sigma_by_parts",
     "outside_column_zeros",
+    "WitnessReport",
+    "norm_prefilter",
+    "squarefree_term",
 )
 
 
