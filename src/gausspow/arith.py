@@ -49,13 +49,6 @@ def _prime_flags(n: int) -> bytearray:
     return flags
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    return list(compress(range(n + 1), _prime_flags(n)))
-
-
 def inert_primes_up_to(n: int) -> list[int]:
     """Primes p <= n with p = 3 (mod 4), ascending."""
     if n < 3:

@@ -13,7 +13,9 @@ import sys
 from fractions import Fraction
 
 from .arith import decimal_render, sieve_inert_primes
-from .closed_form import MAX_EXPANSION_K, sigma_closed, sigma_expansion
+from .closed_form import (
+    MAX_EXPANSION_K, sigma_closed, sigma_expansion, sigma_expansion_rows,
+)
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
 from .gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
@@ -21,11 +23,11 @@ from .moser_search import search_solutions
 
 EPSILON_LEGEND = "ϵ := (1 + i)"
 
-# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts, a bound on its three
-# costs: brute rows of kmax * nmax^3 / 3 steps, (kmax * nmax)^2 / 2 modular
-# powers, and exact binomials growing as kmax^3 per n.  It is also the only
-# bound on nmax, which it holds to 291 (at kmax = 1); that slowest accepted
-# input takes 3-5 s on a 2-core x86 host.
+# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts.  Brute rows of about
+# kmax * nmax^3 / 3 steps dominate; the expansion rows add kmax * nmax^2 / 2
+# modular powers and kmax^2 / 4 exact binomials per n.  It also holds nmax to
+# 291 (at kmax = 1), the slowest accepted input: 4-4.6 s on a 2-core x86 host,
+# against 2.4-2.6 s at the largest nmax for kmax = 10 and 1.3-1.4 s for 30.
 MAX_VERIFY_WORK = 25 * 10**6
 
 # Largest kmax and nmax `table` accepts: 500 x 500 closed-form cells take about
@@ -97,14 +99,14 @@ def cmd_verify(args) -> int:
     if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
         raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
     for n in range(1, nmax + 1):
+        expansion = sigma_expansion_rows(n, kmax)
         brute = sigma_brute_rows(n, kmax)
         for k in range(1, kmax + 1):
             closed = sigma_closed(k, n)
-            expanded = sigma_expansion(k, n)
-            if not (closed == expanded == brute[k - 1]):
+            if not (closed == expansion[k - 1] == brute[k - 1]):
                 print(
                     f"MISMATCH at k={k} n={n}: closed={closed} "
-                    f"expansion={expanded} brute={brute[k - 1]}"
+                    f"expansion={expansion[k - 1]} brute={brute[k - 1]}"
                 )
                 return 1
     print(f"verified: all three routes agree for 1 <= k <= {kmax}, 1 <= n <= {nmax}")

@@ -13,12 +13,14 @@ and reads
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of
 (a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
-ground-truth route.
+ground-truth route.  `sigma_expansion_rows` runs the expansion for every k up
+to k_max at one n on the same power sums S_0(n)..S_k_max(n), summed once, as
+`gaussian.sigma_brute_rows` does for brute force; `cli.cmd_verify` uses both.
 """
 
 from __future__ import annotations
 
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 from .arith import MAX_FACTOR_INPUT, factorize, is_prime
 from .gaussian import GaussianResidue
@@ -28,9 +30,10 @@ from .power_sums import s_mod_naive
 # p = 3 (mod 4) with p^2 <= k + 1, about 0.1 s at 10^12 on a 2-core x86 host.
 MAX_ROW_K = 10**12
 
-# Largest k and n `sigma_expansion` accepts: it sums k + 1 power sums of n
-# terms each and takes k exact binomials; (1000, 1000) takes about 0.8 s on a
-# 2-core x86 host.
+# Largest k and n `sigma_expansion` accepts (k_max and n for
+# `sigma_expansion_rows`): one cell sums k + 1 power sums of n terms and takes k
+# exact binomials.  On a 2-core x86 host (1000, 1000) takes about 0.8 s, and the
+# rows to k_max = 1000 at n = 1000 about 8.5 s, mostly in the binomials.
 MAX_EXPANSION_K = 1000
 MAX_EXPANSION_N = 1000
 
@@ -89,12 +92,27 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
     form but independent of it; it sits between brute force and the formula
     in the oracle stack.
     """
+    return _expand(k, n, _power_sums(k, n))
+
+
+def sigma_expansion_rows(n: int, k_max: int) -> list[GaussianResidue]:
+    """[sigma_expansion(k, n) for k in 1..k_max], summing each S_m(n) once."""
+    s = _power_sums(k_max, n)
+    return [_expand(k, n, s) for k in range(1, k_max + 1)]
+
+
+def _power_sums(k: int, n: int) -> list[int]:
+    """[S_m(n) mod n for m in 0..k] by literal summation, within the caps."""
     if not (1 <= k <= MAX_EXPANSION_K and 1 <= n <= MAX_EXPANSION_N):
         raise ValueError(
             f"expansion needs 1 <= k <= {MAX_EXPANSION_K}"
             f" and 1 <= n <= {MAX_EXPANSION_N}"
         )
-    s = [s_mod_naive(m, n) for m in range(k + 1)]
+    return [s_mod_naive(m, n) for m in range(k + 1)]
+
+
+def _expand(k: int, n: int, s: list[int]) -> GaussianResidue:
+    """The two signed binomial sums of `sigma_expansion`, s[m] = S_m(n) mod n."""
     re = im = 0
     for j in range(k // 2 + 1):
         term = comb(k, 2 * j) % n * s[2 * j] % n * s[k - 2 * j] % n
@@ -103,16 +121,3 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
         term = comb(k, 2 * j + 1) % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
         im += -term if j % 2 else term
     return GaussianResidue(re % n, im % n, n)
-
-
-def closed_period(n: int) -> int:
-    """L such that sigma_k(n) = sigma_{k+L}(n) for k of fixed parity.
-
-    The witness set depends on k only through the divisibilities p^2 - 1 | k,
-    so the lcm of p^2 - 1 over inert primes dividing n is a period.
-    """
-    L = 1
-    for p, _ in factorize(n):
-        if p % 4 == 3:
-            L = lcm(L, p * p - 1)
-    return L

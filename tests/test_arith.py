@@ -17,7 +17,6 @@ from gausspow.arith import (
     factorize,
     inert_primes_up_to,
     is_prime,
-    primes_up_to,
     sieve_inert_primes,
     validate_prime_family,
 )
@@ -296,20 +295,19 @@ class TestExactRationals:
 
 class TestPrimeSieve:
     def test_against_trial_division(self):
-        assert primes_up_to(100) == [n for n in range(101) if is_prime(n)]
+        inert = [n for n in range(101) if n % 4 == 3 and is_prime(n)]
+        assert inert_primes_up_to(100) == inert
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=3000))
     def test_sieve_consistent(self, n):
-        assert primes_up_to(n) == [m for m in range(n + 1) if is_prime(m)]
+        inert = [m for m in range(n + 1) if m % 4 == 3 and is_prime(m)]
+        assert inert_primes_up_to(n) == inert
 
     def test_every_limit_to_2000_matches_is_prime(self):
-        primes = [m for m in range(2001) if is_prime(m)]
-        inert = [p for p in primes if p % 4 == 3]
+        inert = [m for m in range(2001) if m % 4 == 3 and is_prime(m)]
         for n in range(2001):
-            assert primes_up_to(n) == [p for p in primes if p <= n], n
             assert inert_primes_up_to(n) == [p for p in inert if p <= n], n
 
     def test_counts_at_1e6(self):
-        assert len(primes_up_to(10**6)) == 78498
         assert len(inert_primes_up_to(10**6)) == 39322

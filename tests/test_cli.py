@@ -124,17 +124,26 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--kmax", "2", "--nmax", "301")
         assert code == 2
 
-    def test_corrupted_formula_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "route", ["sigma_closed", "sigma_expansion_rows", "sigma_brute_rows"]
+    )
+    def test_corrupted_formula_exits_one(self, capsys, monkeypatch, route):
         import gausspow.cli as cli_mod
         from gausspow.gaussian import GaussianResidue
 
-        def broken(k, n):
+        # k = 1, n = 1 is the first cell swept; every route gives 0 there, so
+        # a value of 1 mod 2 disagrees with the two uncorrupted routes
+        def broken_cell(k, n):
             return GaussianResidue(1, 0, max(n, 2))
 
-        monkeypatch.setattr(cli_mod, "sigma_closed", broken)
+        def broken_rows(n, k_max):
+            return [broken_cell(k, n) for k in range(1, k_max + 1)]
+
+        broken = broken_cell if route == "sigma_closed" else broken_rows
+        monkeypatch.setattr(cli_mod, route, broken)
         code, out, _ = run_cli(capsys, "verify", "--kmax", "3", "--nmax", "3")
         assert code == 1
-        assert "MISMATCH" in out
+        assert out.startswith("MISMATCH at k=1 n=1: ")
 
 
 # `density m --primes 24 --tail-limit 1000000 --format json`; the decimals are
@@ -270,8 +279,12 @@ class TestImport:
 
     @pytest.mark.parametrize(
         "argv",
-        [["primes", "--count", "30"], ["density", "m", "--primes", "8"]],
-        ids=["primes", "density-m"],
+        [
+            ["primes", "--count", "30"],
+            ["density", "m", "--primes", "8"],
+            ["verify", "--kmax", "3", "--nmax", "3"],
+        ],
+        ids=["primes", "density-m", "verify"],
     )
     def test_prime_sieve_runs_leave_numpy_out(self, argv):
         assert not self.loaded_by_cli_import("numpy", argv)

@@ -1,17 +1,19 @@
 """Closed-form sigma evaluation: witness set, case split, oracle agreement."""
 
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 from gausspow.arith import MAX_FACTOR_INPUT, factorize
 from gausspow.closed_form import (
+    MAX_EXPANSION_K,
+    MAX_EXPANSION_N,
     MAX_ROW_K,
-    closed_period,
     is_half_epsilon_case,
     row_witness_primes,
     sigma_closed,
     sigma_expansion,
+    sigma_expansion_rows,
     witness_primes,
 )
 from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
@@ -92,6 +94,17 @@ class TestExpansionRoute:
             assert sigma_expansion(2, n).is_zero()
         assert sigma_expansion(8, 3) == GaussianResidue(2, 0, 3)
 
+    def test_rows_bounds(self):
+        assert len(sigma_expansion_rows(MAX_EXPANSION_N, 1)) == 1
+        for n, k_max in [
+            (1, 0),
+            (0, 1),
+            (1, MAX_EXPANSION_K + 1),
+            (MAX_EXPANSION_N + 1, 1),
+        ]:
+            with pytest.raises(ValueError):
+                sigma_expansion_rows(n, k_max)
+
 
 class TestCaseFunctions:
     def test_imag_examples(self):
@@ -119,11 +132,13 @@ class TestOracleStack:
     def test_triple_agreement_full_grid(self):
         for n in range(1, GRID + 1):
             brute = sigma_brute_rows(n, GRID)
+            expansion = sigma_expansion_rows(n, GRID)
             for k in range(1, GRID + 1):
                 closed = sigma_closed(k, n)
                 expanded = sigma_expansion(k, n)
                 assert closed == brute[k - 1], (k, n)
                 assert expanded == brute[k - 1], (k, n)
+                assert expansion[k - 1] == expanded, (k, n)
 
     def test_imag_structure(self):
         # Im is 0 or n/2, and n/2 exactly in the half-epsilon case; whenever
@@ -150,7 +165,7 @@ class TestOracleStack:
         # over inert p | n is a period once parity is fixed; k = 1 stays out
         # because the nonreal case needs k > 1
         for n in range(1, GRID + 1):
-            L = closed_period(n)
+            L = lcm(*(p * p - 1 for p, _ in factorize(n) if p % 4 == 3))
             shift = L if L % 2 == 0 else 2 * L
             for k in range(2, 14):
                 assert sigma_closed(k, n) == sigma_closed(k + shift, n), (k, n)

@@ -12,6 +12,8 @@ REMOVED = (
     "WitnessReport",
     "norm_prefilter",
     "squarefree_term",
+    "closed_period",
+    "primes_up_to",
 )
 
 
