@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 verified mathematical discrepancy (verify), 2 usage.
 All numeric output is exact or directed-rounded: the density bracket prints
 the exact union density and rounds the tail and the endpoints outward.
+
+Each call builds only the parser path its arguments name: `main(argv)` adds
+the one subcommand (and `density` target) that `argv` starts with, and every
+one when it names none, so help and error text match the full parser.  The
+parser is built per call and never kept: a shell user starts one process per
+command, so a kept parser would save them nothing.
 """
 
 from __future__ import annotations
@@ -184,15 +190,7 @@ def cmd_primes(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gausspow",
-        description="Exact Gaussian-integer power sums mod n, congruence sets, "
-        "densities, and equation search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sigma", help="evaluate the power sum mod n")
+def _configure_sigma(p, rest) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -200,51 +198,112 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sigma)
 
-    p = sub.add_parser("table", help="render the k x n value table")
+
+def _configure_table(p, rest) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", help="sweep all three evaluation routes")
+
+def _configure_verify(p, rest) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("density", help="exact density computations")
-    dsub = p.add_subparsers(dest="target", required=True)
-    pnk = dsub.add_parser("nk", help="zero density of one table row")
-    pnk.add_argument("--k", type=int, required=True)
-    pnk.add_argument("--digits", type=int, default=19)
-    pnk.add_argument("--format", choices=("text", "json"), default="text")
-    pnk.set_defaults(func=cmd_density, target="nk")
-    pm = dsub.add_parser("m", help="bracket the diagonal zero density")
-    pm.add_argument("--primes", type=int, default=20)
-    pm.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
-    pm.add_argument("--digits", type=int, default=19)
-    pm.add_argument("--format", choices=("text", "json"), default="text")
-    pm.set_defaults(func=cmd_density, target="m")
+
+def _configure_density_nk(p, rest) -> None:
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--digits", type=int, default=19)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_density, target="nk")
+
+
+def _configure_density_m(p, rest) -> None:
+    p.add_argument("--primes", type=int, default=20)
+    p.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
+    p.add_argument("--digits", type=int, default=19)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_density, target="m")
+
+
+DENSITY_TARGETS = {
+    "nk": ("zero density of one table row", _configure_density_nk),
+    "m": ("bracket the diagonal zero density", _configure_density_m),
+}
+
+
+def _configure_density(p, rest) -> None:
+    _add_commands(p, "target", DENSITY_TARGETS, rest)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("witness", help="smallest diagonal witness prime for n")
+
+def _configure_witness(p, rest) -> None:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("em-search", help="exhaustive equation search")
+
+def _configure_em_search(p, rest) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.set_defaults(func=cmd_em_search)
 
-    p = sub.add_parser("primes", help="list the smallest inert primes")
+
+def _configure_primes(p, rest) -> None:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_primes)
 
+
+# Subcommand name -> (help line, configure(parser, argv after the name)).
+COMMANDS = {
+    "sigma": ("evaluate the power sum mod n", _configure_sigma),
+    "table": ("render the k x n value table", _configure_table),
+    "verify": ("sweep all three evaluation routes", _configure_verify),
+    "density": ("exact density computations", _configure_density),
+    "witness": ("smallest diagonal witness prime for n", _configure_witness),
+    "em-search": ("exhaustive equation search", _configure_em_search),
+    "primes": ("list the smallest inert primes", _configure_primes),
+}
+
+
+def _add_commands(parser, dest: str, table: dict, argv) -> None:
+    """Add `table`'s subparsers to `parser`: only the one `argv[0]` names,
+    if any, else all of them.
+
+    A lone subparser keeps the full choice list as its metavar, so usage
+    lines read as with all of them.  The metavar stays unset otherwise: it
+    would replace `dest` (`command`, `target`) in the "required" and
+    "invalid choice" errors, which only arise when no valid name is given.
+    """
+    name = argv[0] if argv else None
+    if name in table:
+        metavar = "{" + ",".join(table) + "}"
+        sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+        chosen, rest = {name: table[name]}, argv[1:]
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        chosen, rest = table, ()
+    for cmd, (help_text, configure) in chosen.items():
+        configure(sub.add_parser(cmd, help=help_text), rest)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`: only the subcommand (and `density` target) it
+    names, or every one when it names none.  `build_parser()` is the full
+    parser."""
+    parser = argparse.ArgumentParser(
+        prog="gausspow",
+        description="Exact Gaussian-integer power sums mod n, congruence sets, "
+        "densities, and equation search.",
+    )
+    _add_commands(parser, "command", COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -11,15 +11,19 @@ from pathlib import Path
 import pytest
 
 import gausspow
+from gausspow import cli
 from gausspow.arith import MAX_FACTOR_INPUT, MAX_INERT_COUNT
-from gausspow.cli import MAX_TABLE_SIDE, MAX_VERIFY_WORK, main
+from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser, main
 from gausspow.closed_form import MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
 from gausspow.moser_search import SEARCH_GUARD
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -254,21 +258,111 @@ class TestWitnessAndSearch:
         assert exc.value.code == 2
 
 
+# Command lines whose exit code, stdout and stderr must not depend on whether
+# `main` builds one parser path or all of them: the root and every help
+# screen, usage errors before, inside and after a command, and a few runs.
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["sig"], ["--k", "1", "sigma"],
+    ["-h", "sigma"],
+    *([name, "-h"] for name in COMMANDS),
+    ["density"], ["density", "-h"], ["density", "x"], ["density", "nk", "-h"],
+    ["density", "m", "-h"], ["density", "--k", "8", "nk"],
+    ["density", "nk", "m"],
+    ["sigma", "--k", "1"], ["witness"], ["density", "nk"],
+    ["sigma", "--k", "x", "--n", "2"], ["density", "nk", "--k", "8.5"],
+    ["sigma", "--k", "1", "--n", "2", "--method", "fast"],
+    ["table", "--kmax", "2", "--nmax", "2", "--format", "xml"],
+    ["density", "m", "--format", "csv"],
+    ["sigma", "--k", "1", "--n", "2", "--bogus"],
+    ["sigma", "--k", "1", "--n", "2", "extra"],
+    ["primes", "--count", "4", "sigma"],
+    ["density", "nk", "--k", "8", "extra"],
+    ["em-search", "--kmax", "5", "--mmax", "5", "--workers", "2"],
+    ["sigma", "--k", "3", "--n", "10"], ["sigma", "--k", "0", "--n", "5"],
+    ["density", "nk", "--k", "8"], ["witness", "--n", "24"],
+]
+
+# One valid command line per subcommand and per `density` target.
+VALID_ARGVS = [
+    ["sigma", "--k", "3", "--n", "10", "--method", "brute"],
+    ["table", "--kmax", "3", "--nmax", "4", "--format", "csv"],
+    ["verify", "--kmax", "2", "--nmax", "2"],
+    ["density", "nk", "--k", "8", "--digits", "5"],
+    ["density", "m", "--primes", "4", "--tail-limit", "100"],
+    ["witness", "--n", "24"],
+    ["em-search", "--kmax", "5", "--mmax", "5"],
+    ["primes", "--count", "4", "--format", "json"],
+]
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(no arguments)"
+
+
+class TestParserPaths:
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=argv_id)
+    def test_output_matches_full_parser(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_parser())
+        assert got == run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=argv_id)
+    def test_namespace_matches_full_parser(self, argv):
+        assert vars(build_parser(argv).parse_args(argv)) == vars(
+            build_parser().parse_args(argv)
+        )
+
+    def test_named_path_is_built_alone(self):
+        with pytest.raises(SystemExit):
+            build_parser(["sigma"]).parse_args(["witness", "--n", "24"])
+        with pytest.raises(SystemExit):
+            build_parser(["density", "nk"]).parse_args(["density", "m"])
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["sigma", "--k", "3", "--n", "10"]
+        _, expected, _ = run_cli(capsys, *argv)
+        built_for = []
+
+        def spy(argv=()):
+            built_for.append(list(argv))
+            return build_parser(argv)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(sys, "argv", ["gausspow", *argv])
+        assert main() == 0 and capsys.readouterr().out == expected
+        assert main(tuple(argv)) == 0 and capsys.readouterr().out == expected
+        assert built_for == [argv, argv]
+
+
 class TestImport:
     @staticmethod
-    def loaded_by_cli_import(module, argv=()):
-        """Whether importing gausspow.cli, then running `main(argv)` if argv
-        is given, leaves `module` in sys.modules of a fresh interpreter."""
+    def run_python(*args):
+        """stdout of a fresh interpreter that imports this checkout's gausspow."""
         src = str(Path(gausspow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = f"gausspow.cli.main({list(argv)!r}); " if argv else ""
-        probe = f"import sys, gausspow.cli; {run}print({module!r} in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
+        return subprocess.run(
+            [sys.executable, *args],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         ).stdout
+
+    @classmethod
+    def loaded_by_cli_import(cls, module, argv=()):
+        """Whether importing gausspow.cli, then running `main(argv)` if argv
+        is given, leaves `module` in sys.modules of a fresh interpreter."""
+        run = f"gausspow.cli.main({list(argv)!r}); " if argv else ""
+        probe = f"import sys, gausspow.cli; {run}print({module!r} in sys.modules)"
+        out = cls.run_python("-c", probe)
         return out.strip().splitlines()[-1] == "True"
+
+    def test_module_entry_point(self):
+        out = self.run_python("-m", "gausspow", "sigma", "--k", "3", "--n", "10")
+        lines = out.strip().splitlines()
+        assert lines[0] == "5+5i (mod 10)"
+        record = json.loads(lines[1])
+        assert record == {"k": 3, "n": 10, "re": 5, "im": 5, "method": "closed"}
 
     def test_cli_import_leaves_numpy_out(self):
         assert not self.loaded_by_cli_import("numpy")
