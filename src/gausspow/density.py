@@ -245,31 +245,31 @@ def sieve_complement_count(limit: int, primes, chunk: int = 1 << 24) -> int:
     (p is odd) and 3 divides p^3 - p = (p - 1) p (p + 1), so 24 | p^3 - p
     and every U_p lies on the lattice n = 24 j.  With u = (p^3 - p)/24,
     U_p is the set of j that are multiples t u of u with p not dividing t;
-    each nonzero residue of t mod p is one stride of step p u.  One boolean
-    array over j, `chunk // 24` entries at a time (`chunk` counts n), takes
-    those strides for every prime and is then counted.
+    each nonzero residue of t mod p is one stride of step p u.  One bytearray
+    over j, `chunk // 24` entries at a time (`chunk` counts n), takes those
+    strides for every prime and is then counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
-    import numpy as np
-
     fam = validate_prime_family(primes)
     steps = [((p**3 - p) // 24, p) for p in fam]
     top = limit // 24
     span = max(1, chunk // 24)
-    marked = np.zeros(min(span, top + 1), dtype=bool)
+    marked = bytearray(min(span, top + 1))
+    ones = memoryview(b"\x01" * len(marked))
     count = 0
     for lo in range(0, top + 1, span):
         hi = min(lo + span, top + 1)
         width = hi - lo
-        marked[:width] = False
+        marked[:width] = bytes(width)
         for u, p in steps:
             # one multiple t u per residue of t mod p, from the first in the chunk
             first = -(-lo // u)
             for t in range(first, min(first + p, (hi - 1) // u + 1)):
                 if t % p:
-                    marked[t * u - lo : width : p * u] = True
-        count += int(np.count_nonzero(marked[:width]))
+                    s = t * u - lo
+                    marked[s:width:p * u] = ones[: len(range(s, width, p * u))]
+        count += marked.count(1, 0, width)
     return count
 
 

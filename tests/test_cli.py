@@ -383,6 +383,13 @@ class TestImport:
     def test_prime_sieve_runs_leave_numpy_out(self, argv):
         assert not self.loaded_by_cli_import("numpy", argv)
 
+    def test_progression_sieve_leaves_numpy_out(self):
+        probe = (
+            "import sys, gausspow.density as d; "
+            "d.sieve_complement_count(10**6, (3,)); print('numpy' in sys.modules)"
+        )
+        assert self.run_python("-c", probe).strip() == "False"
+
     @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
     def test_cli_import_leaves_process_pools_out(self, module):
         assert not self.loaded_by_cli_import(module)

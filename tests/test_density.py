@@ -356,28 +356,20 @@ def chunked_marking_count(limit, primes, chunk=1 << 24):
     """Count n <= limit in some U_p over all of n, one chunk at a time: per
     prime, mark the multiples of p^3 - p in a scratch array, unmark those of
     p (p^3 - p), and or the scratch array into the union."""
-    import numpy as np
-
     steps = [(p**3 - p, p * (p**3 - p)) for p in primes]
     count = 0
-    marked = np.zeros(chunk, dtype=bool)
-    single = np.zeros(chunk, dtype=bool)
     for lo in range(1, limit + 1, chunk):
         hi = min(lo + chunk, limit + 1)
         width = hi - lo
-        marked[:width] = False
+        union = 0
         for u, pu in steps:
-            if u >= hi:
-                continue
-            single[:width] = False
-            first = (lo + u - 1) // u * u
-            if first < hi:
-                single[first - lo : width : u] = True
-            first = (lo + pu - 1) // pu * pu
-            if first < hi:
-                single[first - lo : width : pu] = False
-            marked[:width] |= single[:width]
-        count += int(np.count_nonzero(marked[:width]))
+            single = bytearray(width)
+            first = -(-lo // u) * u - lo
+            single[first:width:u] = b"\x01" * len(range(first, width, u))
+            first = -(-lo // pu) * pu - lo
+            single[first:width:pu] = bytes(len(range(first, width, pu)))
+            union |= int.from_bytes(single, "big")
+        count += union.to_bytes(width, "big").count(1)
     return count
 
 
@@ -435,6 +427,10 @@ class TestSieveOracle:
     def test_pinned_counts_at_1e8(self):
         assert sieve_complement_count(10**8, sieve_inert_primes(24)) == 2899920
         assert sieve_complement_count(10**8, sieve_inert_primes(30)) == 2899928
+
+    def test_pinned_counts_at_accepted_maximum(self):
+        assert sieve_complement_count(10**9, sieve_inert_primes(30)) == 28999301
+        assert sieve_complement_count(10**9, sieve_inert_primes(40)) == 28999409
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
