@@ -24,16 +24,18 @@ from .closed_form import (
 )
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
-from .gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
+from .gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
 from .moser_search import search_solutions
 
 EPSILON_LEGEND = "ϵ := (1 + i)"
 
-# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts.  Brute rows of about
-# kmax * nmax^3 / 3 steps dominate; the expansion rows add kmax * nmax^2 / 2
-# modular powers and kmax^2 / 4 exact binomials per n.  It also holds nmax to
-# 291 (at kmax = 1), the slowest accepted input: 4-4.6 s on a 2-core x86 host,
-# against 2.4-2.6 s at the largest nmax for kmax = 10 and 1.3-1.4 s for 30.
+# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts; it holds nmax to 291
+# at kmax = 1.  The brute sweep takes about kmax * nmax^2 exact steps, and the
+# expansion rows add kmax * nmax^2 / 2 modular powers and kmax^2 / 4 exact
+# binomials per n.  The slowest accepted inputs lie near kmax = 30-48 (30 x 75,
+# 48 x 52): about 0.15 s in the three routes on a 2-core x86 host, 0.1 s of it
+# the brute sweep, and 0.2-0.25 s for the whole command.  From kmax = 80 up the
+# expansion rows dominate; at kmax = 1 the sweep to 291 takes about 0.05 s.
 MAX_VERIFY_WORK = 25 * 10**6
 
 # Largest kmax and nmax `table` accepts: 500 x 500 closed-form cells take about
@@ -104,9 +106,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"requires 1 <= kmax <= {MAX_EXPANSION_K} and nmax >= 1")
     if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
         raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
-    for n in range(1, nmax + 1):
+    for n, brute in enumerate(sigma_brute_sweep(nmax, kmax), start=1):
         expansion = sigma_expansion_rows(n, kmax)
-        brute = sigma_brute_rows(n, kmax)
         for k in range(1, kmax + 1):
             closed = sigma_closed(k, n)
             if not (closed == expansion[k - 1] == brute[k - 1]):

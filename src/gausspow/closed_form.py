@@ -14,8 +14,9 @@ Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of
 (a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
 ground-truth route.  `sigma_expansion_rows` runs the expansion for every k up
-to k_max at one n on the same power sums S_0(n)..S_k_max(n), summed once, as
-`gaussian.sigma_brute_rows` does for brute force; `cli.cmd_verify` uses both.
+to k_max at one n on the same power sums S_0(n)..S_k_max(n), summed once;
+`cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`, which
+gives the brute rows of every n up to n_max in one pass.
 """
 
 from __future__ import annotations

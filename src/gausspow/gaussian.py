@@ -5,6 +5,12 @@ parts in [0, n)); `GaussianInt` is an exact Gaussian integer on Python's
 arbitrary-precision ints.  `sigma_brute` evaluates the defining double sum
 sum over 1 <= a, b <= n of (a+bi)^k literally and is the ground-truth oracle
 everything faster is measured against.
+
+`sigma_brute_sweep` gives the same cells for every n up to n_max at once, and
+it is still the literal definition: it keeps the double sum exact, unreduced
+in Z[i], and grows the square [1, n]^2 from [1, n-1]^2 by its border of
+2n - 1 terms, reducing mod n only when row n is read off.  No identity of the
+power sums enters, only that union of squares.
 """
 
 from __future__ import annotations
@@ -150,19 +156,33 @@ def sigma_brute(k: int, n: int) -> GaussianResidue:
     return GaussianResidue(sre, sim, n)
 
 
-def sigma_brute_rows(n: int, k_max: int) -> list[GaussianResidue]:
-    """[sigma_brute(k, n) for k in 1..k_max] sharing one incremental power pass."""
-    if k_max < 1 or n < 1:
-        raise ValueError("k_max and n must be >= 1")
-    acc = [[0, 0] for _ in range(k_max)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
+def sigma_brute_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
+    """[[sigma_brute(k, n) for k in 1..k_max] for n in 1..n_max] in one pass.
+
+    The exact sums over [1, n]^2 are the sums over [1, n-1]^2 plus the border
+    terms a = n, and b = n with a < n; each term carries its powers up through
+    k_max by exact multiplication.  O(k_max * n_max^2) exact steps.
+    """
+    if k_max < 1 or n_max < 1:
+        raise ValueError("k_max and n_max must be >= 1")
+    re = [0] * k_max
+    im = [0] * k_max
+    rows = []
+    for n in range(1, n_max + 1):
+        border = [(n, b) for b in range(1, n + 1)] + [(a, n) for a in range(1, n)]
+        for a, b in border:
             ca, cb = 1, 0
             for k in range(k_max):
-                ca, cb = (ca * a - cb * b) % n, (ca * b + cb * a) % n
-                acc[k][0] += ca
-                acc[k][1] += cb
-    return [GaussianResidue(re, im, n) for re, im in acc]
+                ca, cb = ca * a - cb * b, ca * b + cb * a
+                re[k] += ca
+                im[k] += cb
+        rows.append([GaussianResidue(x, y, n) for x, y in zip(re, im)])
+    return rows
+
+
+def sigma_brute_rows(n: int, k_max: int) -> list[GaussianResidue]:
+    """[sigma_brute(k, n) for k in 1..k_max]: the last row of the sweep to n."""
+    return sigma_brute_sweep(n, k_max)[-1]
 
 
 def sigma_exact(k: int, m: int) -> GaussianInt:

@@ -25,7 +25,7 @@ from gausspow.density import (
     tail_bound,
     zero_row_density,
 )
-from gausspow.gaussian import GaussianInt, sigma_brute_rows, sigma_exact
+from gausspow.gaussian import GaussianInt, sigma_brute_sweep, sigma_exact
 from gausspow.moser_search import search_solutions
 
 
@@ -92,8 +92,7 @@ def test_criterion_01_table_reproduction():
 def test_criterion_02_triple_oracle_sweep():
     with criterion("criterion 2: closed = expansion = brute on 1..40 x 1..40"):
         start = time.perf_counter()
-        for n in range(1, 41):
-            brute = sigma_brute_rows(n, 40)
+        for n, brute in enumerate(sigma_brute_sweep(40, 40), start=1):
             for k in range(1, 41):
                 closed = sigma_closed(k, n)
                 expanded = sigma_expansion(k, n)

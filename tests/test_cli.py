@@ -129,7 +129,7 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "route", ["sigma_closed", "sigma_expansion_rows", "sigma_brute_rows"]
+        "route", ["sigma_closed", "sigma_expansion_rows", "sigma_brute_sweep"]
     )
     def test_corrupted_formula_exits_one(self, capsys, monkeypatch, route):
         import gausspow.cli as cli_mod
@@ -143,7 +143,14 @@ class TestVerify:
         def broken_rows(n, k_max):
             return [broken_cell(k, n) for k in range(1, k_max + 1)]
 
-        broken = broken_cell if route == "sigma_closed" else broken_rows
+        def broken_sweep(n_max, k_max):
+            return [broken_rows(n, k_max) for n in range(1, n_max + 1)]
+
+        broken = {
+            "sigma_closed": broken_cell,
+            "sigma_expansion_rows": broken_rows,
+            "sigma_brute_sweep": broken_sweep,
+        }[route]
         monkeypatch.setattr(cli_mod, route, broken)
         code, out, _ = run_cli(capsys, "verify", "--kmax", "3", "--nmax", "3")
         assert code == 1
@@ -475,8 +482,8 @@ class TestInputCaps:
         assert code == 2
         assert str(MAX_EXPANSION_K) in err
 
-    # kmax = 1 is the slowest corner of the verify bound: the brute rows'
-    # per-cell overhead dominates there
+    # kmax = 1 gives the verify bound its largest nmax, 291; the slowest
+    # accepted inputs lie near kmax = 30-48, at about 0.2 s for the command
     VERIFY_NMAX = max(n for n in range(1, 301) if n * (1 + n) ** 2 <= MAX_VERIFY_WORK)
 
     def test_verify_work_at_cap(self, capsys):

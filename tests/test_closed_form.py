@@ -16,7 +16,7 @@ from gausspow.closed_form import (
     sigma_expansion_rows,
     witness_primes,
 )
-from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_rows
+from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
 
 
 class TestWitnessPrimes:
@@ -130,8 +130,7 @@ GRID = 40
 
 class TestOracleStack:
     def test_triple_agreement_full_grid(self):
-        for n in range(1, GRID + 1):
-            brute = sigma_brute_rows(n, GRID)
+        for n, brute in enumerate(sigma_brute_sweep(GRID, GRID), start=1):
             expansion = sigma_expansion_rows(n, GRID)
             for k in range(1, GRID + 1):
                 closed = sigma_closed(k, n)
@@ -143,8 +142,7 @@ class TestOracleStack:
     def test_imag_structure(self):
         # Im is 0 or n/2, and n/2 exactly in the half-epsilon case; whenever
         # Im is nonzero, Re equals it.
-        for n in range(1, GRID + 1):
-            brute = sigma_brute_rows(n, GRID)
+        for n, brute in enumerate(sigma_brute_sweep(GRID, GRID), start=1):
             for k in range(1, GRID + 1):
                 r = brute[k - 1]
                 assert r.im in (0, n // 2 if n % 2 == 0 else 0), (k, n)

@@ -14,7 +14,7 @@ from gausspow.congruence_sets import (
     outside_row_zeros,
     witness_forces_24,
 )
-from gausspow.gaussian import sigma_brute_rows
+from gausspow.gaussian import sigma_brute_sweep
 
 
 def candidate_witness(n):
@@ -37,8 +37,7 @@ class TestDividesSigma:
         assert divides_sigma(5, 10) is False  # 5-epsilon entry
 
     def test_matches_brute_on_grid(self):
-        for n in range(1, 41):
-            brute = sigma_brute_rows(n, 40)
+        for n, brute in enumerate(sigma_brute_sweep(40, 40), start=1):
             for k in range(1, 41):
                 assert divides_sigma(k, n) == brute[k - 1].is_zero(), (k, n)
 

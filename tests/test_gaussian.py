@@ -9,6 +9,7 @@ from gausspow.gaussian import (
     GaussianResidue,
     sigma_brute,
     sigma_brute_rows,
+    sigma_brute_sweep,
     sigma_exact,
 )
 
@@ -98,8 +99,7 @@ class TestBruteSigma:
 
     def test_zero_based_square_gives_same_residue(self):
         # summing over 0 <= a, b < n is a complete-residue shift of 1..n
-        for n in range(1, 31):
-            rows = sigma_brute_rows(n, 30)
+        for n, rows in enumerate(sigma_brute_sweep(30, 30), start=1):
             for k in range(1, 31):
                 sre = sim = 0
                 for a in range(n):
@@ -108,6 +108,31 @@ class TestBruteSigma:
                         sre += r.re
                         sim += r.im
                 assert GaussianResidue(sre, sim, n) == rows[k - 1], (k, n)
+
+
+class TestBruteSweep:
+    # A wrong corner (n, n) of the border cannot show mod n at its own n, since
+    # (n + ni)^k = 0 (mod n); it shows only at later moduli, so each check
+    # below spans many n.
+    def test_matches_single_cells(self):
+        rows = sigma_brute_sweep(30, 30)
+        assert len(rows) == 30
+        for n, row in enumerate(rows, start=1):
+            assert len(row) == 30
+            for k in range(1, 31):
+                assert row[k - 1] == sigma_brute(k, n), (k, n)
+
+    def test_single_modulus(self):
+        assert sigma_brute_sweep(1, 5) == [[GaussianResidue(0, 0, 1)] * 5]
+
+    def test_single_power(self):
+        rows = sigma_brute_sweep(60, 1)
+        assert rows == [[sigma_brute(1, n)] for n in range(1, 61)]
+
+    @pytest.mark.parametrize("n_max, k_max", [(0, 1), (1, 0), (-3, 4), (4, -3)])
+    def test_rejects_empty_box(self, n_max, k_max):
+        with pytest.raises(ValueError):
+            sigma_brute_sweep(n_max, k_max)
 
 
 class TestExactSigma:
@@ -119,8 +144,7 @@ class TestExactSigma:
         assert sigma_brute(3, 3).is_zero()
 
     def test_reduction_matches_brute_on_grid(self):
-        for n in range(1, 41):
-            brute_rows = sigma_brute_rows(n, 40)
+        for n, brute_rows in enumerate(sigma_brute_sweep(40, 40), start=1):
             for k in range(1, 41):
                 assert sigma_exact(k, n).reduce(n) == brute_rows[k - 1], (k, n)
 

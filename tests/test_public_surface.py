@@ -1,4 +1,8 @@
-"""The package's exported names."""
+"""The package's exported names, and the layer names the benchmark traces."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import gausspow
 
@@ -30,3 +34,24 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in gausspow.__all__
         assert not hasattr(gausspow, name), name
+
+
+def _perfbench_spans():
+    # spans.py imports only the standard library, so loading it runs no harness
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    # a traced benchmark run looks each layer up with getattr and fails on a
+    # renamed one; this finds it without running the harness
+    spans = _perfbench_spans()
+    for mod_name, funcs in spans.LAYERS.items():
+        module = importlib.import_module(f"gausspow.{mod_name}")
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"{mod_name}.{func}"
+    traced = {f"{m}.{f}" for m, funcs in spans.LAYERS.items() for f in funcs}
+    assert set(spans.COUNTERS) <= traced
