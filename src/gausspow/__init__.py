@@ -16,49 +16,35 @@ from .closed_form import (
     sigma_expansion,
     witness_primes,
 )
-from .congruence_sets import (
-    diagonal_witness,
-    divides_sigma,
-    eight_multiple_exclusion,
-    outside_row_zeros,
-    witness_forces_24,
-)
+from .congruence_sets import diagonal_witness, divides_sigma, outside_row_zeros
 from .density import (
-    DensityInterval,
     DiagonalBracket,
     diagonal_bracket,
-    incompatible,
     intersection_density,
     sieve_complement_count,
     tail_bound,
     union_density,
-    witness_density,
     zero_row_density,
 )
 from .gaussian import GaussianInt, GaussianResidue, sigma_brute, sigma_exact
 from .moser_search import Solution, search_solutions
-from .power_sums import carlitz_parity, divides_s, s_mod_closed, s_mod_naive
+from .power_sums import s_mod_closed, s_mod_naive
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityInterval",
     "DiagonalBracket",
     "GaussianInt",
     "GaussianResidue",
     "Solution",
     "binom_mod_p",
-    "carlitz_parity",
     "decimal_render",
     "diagonal_bracket",
     "diagonal_witness",
     "dilcher_sum",
-    "divides_s",
     "divides_sigma",
-    "eight_multiple_exclusion",
     "factorize",
     "hermite_sum",
-    "incompatible",
     "intersection_density",
     "outside_row_zeros",
     "row_witness_primes",
@@ -74,8 +60,6 @@ __all__ = [
     "signed_lacunary_sum",
     "tail_bound",
     "union_density",
-    "witness_density",
-    "witness_forces_24",
     "witness_primes",
     "zero_row_density",
 ]

@@ -121,18 +121,14 @@ def cmd_verify(args) -> int:
 
 
 def _print_fraction(q: Fraction, digits: int, fmt: str, label: str) -> None:
+    # render first: a rejected digit count must leave stdout empty
+    decimal = decimal_render(q, digits, "down")
+    fraction = f"{q.numerator}/{q.denominator}"
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    label: f"{q.numerator}/{q.denominator}",
-                    "decimal": decimal_render(q, digits, "down"),
-                }
-            )
-        )
+        print(json.dumps({label: fraction, "decimal": decimal}))
     else:
-        print(f"{q.numerator}/{q.denominator}")
-        print(f"= {decimal_render(q, digits, 'down')} (truncated)")
+        print(fraction)
+        print(f"= {decimal} (truncated)")
 
 
 def cmd_density(args) -> int:
@@ -142,7 +138,7 @@ def cmd_density(args) -> int:
         return 0
     result = diagonal_bracket(args.primes, args.tail_limit)
     ell, tail = result.union, result.tail
-    lo, hi = result.interval.lower, result.interval.upper
+    lo, hi = result.lower, result.upper
     d = args.digits
     record = {
         "primes_used": len(result.primes_used),

@@ -16,6 +16,10 @@ predicate `witness_primes(n, n)`: p || n and p^2 - 1 | n together say
 p^3 - p | n, since p and p^2 - 1 are coprime.  `diagonal_nonzero_up_to`
 lists the same complement independently, by walking the progressions of
 multiples of p^3 - p.
+
+The paper's corollaries of these descriptions (no multiple of 8 is a zero
+exponent of a column n with 3 || n; a diagonal witness forces 24 | n) get no
+predicate of their own: the tests assert them against the ones here.
 """
 
 from __future__ import annotations
@@ -47,34 +51,10 @@ def outside_row_zeros(n: int, k: int) -> bool:
     return any(n % p == 0 and n % (p * p) != 0 for p in row_witness_primes(k))
 
 
-def eight_multiple_exclusion(n: int, k_limit: int = 10_000) -> tuple[bool, bool]:
-    """Range-checked column structure for n divisible by 3 but not 9.
-
-    Returns (subset_holds, equality_holds): whether every positive multiple
-    of 8 up to k_limit falls outside the column-n zero set, and whether the
-    converse also holds on the range (which additionally needs n != 2 mod 4,
-    since that class excludes odd exponents too).  The sets are unions of
-    arithmetic progressions, so a bounded check at this scale is conclusive
-    in practice.
-    """
-    if n < 1 or n % 3 != 0 or n % 9 == 0:
-        raise ValueError("requires 3 | n and 9 not dividing n")
-    subset_holds = all(not divides_sigma(k, n) for k in range(8, k_limit + 1, 8))
-    equality_holds = n % 4 != 2 and all(
-        divides_sigma(k, n) for k in range(1, k_limit + 1) if k % 8
-    )
-    return subset_holds, equality_holds
-
-
 def diagonal_witness(n: int) -> int | None:
     """Smallest prime p = 3 (mod 4) with p^3 - p | n and p^2 not dividing n,
     or None when there is none, that is when sigma_n(n) = 0 (mod n)."""
     return min(witness_primes(n, n), default=None)
-
-
-def witness_forces_24(n: int) -> bool:
-    """Structural check: a diagonal witness for n implies 24 | n."""
-    return diagonal_witness(n) is None or n % 24 == 0
 
 
 def diagonal_nonzero_up_to(limit: int) -> list[int]:

@@ -8,14 +8,16 @@ of the witness progressions
 an inclusion-exclusion over the subsets of a prime family.  The intersection
 over a subset S is empty when S holds a pair q < p with q^2 | p^2 - 1, and
 otherwise has density phi(S)/lcm(S), phi the product of q - 1 and lcm taken
-over q^4 - q^2.  `union_density` does not enumerate the subsets: a dynamic
-program over the family, largest prime first, keeps one integer numerator
-over the fixed denominator lcm(all q^4 - q^2) per live part of lcm(S), the
-part later primes can still change.
+over q^4 - q^2; `intersection_density` gives one such term.  `union_density`
+does not enumerate the subsets: a dynamic program over the family, largest
+prime first, keeps one integer numerator over the fixed denominator
+lcm(all q^4 - q^2) per live part of lcm(S), the part later primes can still
+change.  `sieve_complement_count` counts the same union by marking it.
 
-The bracket for the diagonal density adds the tail of the witness primes
-beyond the family, rounded up term by term to a fixed denominator, so every
-endpoint is exact or rounded outward.
+`DiagonalBracket` holds the bracket for the diagonal density: its upper end
+is one minus the union, and its lower end also subtracts the tail of the
+witness primes beyond the family, rounded up term by term to a fixed
+denominator, so every endpoint is exact or rounded outward.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from math import gcd, lcm
 
 from .arith import (
     inert_primes_up_to,
-    is_prime,
     sieve_inert_primes,
     validate_prime_family,
 )
@@ -63,32 +64,19 @@ def zero_row_density(k: int) -> Fraction:
     return Fraction(3, 4) if k > 1 and k % 2 == 1 else out
 
 
-def witness_density(p: int) -> Fraction:
-    """Density of U_p, exactly 1/(p^2 (1+p))."""
-    if not is_prime(p) or p % 4 != 3:
-        raise ValueError(f"{p} is not a prime congruent to 3 mod 4")
-    return Fraction(1, p * p * (1 + p))
-
-
-def incompatible(q: int, p: int) -> bool:
-    """Whether U_q and U_p cannot intersect: true iff q^2 | p^2 - 1."""
-    if not (2 < q < p) or not is_prime(q) or not is_prime(p):
-        raise ValueError("requires odd primes q < p")
-    return (p * p - 1) % (q * q) == 0
-
-
 def intersection_density(primes) -> Fraction:
     """Exact density of the intersection of U_q over the family.
 
-    Zero as soon as one pair is incompatible; otherwise the intersection is
-    a union of prod(q-1) progressions of common difference lcm(q^4 - q^2).
+    Zero as soon as one pair q < p has q^2 | p^2 - 1; otherwise the
+    intersection is a union of prod(q-1) progressions of common difference
+    lcm(q^4 - q^2).  A one-prime family gives U_p itself, 1/(p^2 (p+1)).
     """
     fam = validate_prime_family(primes)
     if not fam:
         raise ValueError("prime family must be non-empty")
     for i, q in enumerate(fam):
         for p in fam[i + 1 :]:
-            if incompatible(q, p):
+            if (p * p - 1) % (q * q) == 0:
                 return Fraction(0)
     phi = 1
     common = 1
@@ -194,25 +182,19 @@ def rounded_tail(p_min: int, p_limit: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DensityInterval:
-    """Exact rational bracket [lower, upper] containing a density."""
+class DiagonalBracket:
+    """Exact bracket [lower, upper] for the density of n dividing sigma_n(n),
+    with its ingredients."""
 
     lower: Fraction
     upper: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= 1:
-            raise ValueError("interval must satisfy 0 <= lower <= upper <= 1")
-
-
-@dataclass(frozen=True)
-class DiagonalBracket:
-    """Bracket for the density of n dividing sigma_n(n), with its ingredients."""
-
-    interval: DensityInterval
     union: Fraction  # exact union density over the primes used
     tail: Fraction  # tail sum bound beyond the largest prime used
     primes_used: tuple[int, ...]
+
+    def __post_init__(self):
+        if not 0 <= self.lower <= self.upper <= 1:
+            raise ValueError("bracket must satisfy 0 <= lower <= upper <= 1")
 
 
 def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
@@ -233,11 +215,15 @@ def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
     fam = sieve_inert_primes(num_primes)
     ell = union_density(fam)
     tail = rounded_tail(fam[-1], p_limit) + TAIL_REMAINDER
-    interval = DensityInterval(1 - ell - tail, 1 - ell)
-    return DiagonalBracket(interval, ell, tail, fam)
+    return DiagonalBracket(1 - ell - tail, 1 - ell, ell, tail, fam)
 
 
-def sieve_complement_count(limit: int, primes, chunk: int = 1 << 24) -> int:
+# Values of n that `sieve_complement_count` marks per pass: its bytearray over
+# j = n / 24 holds SIEVE_CHUNK // 24 entries, 0.7 MB.
+SIEVE_CHUNK = 1 << 24
+
+
+def sieve_complement_count(limit: int, primes) -> int:
     """Count n <= limit lying in some U_p, by direct progression marking.
 
     Independent oracle for `union_density`: it marks the progressions and
@@ -246,15 +232,15 @@ def sieve_complement_count(limit: int, primes, chunk: int = 1 << 24) -> int:
     and every U_p lies on the lattice n = 24 j.  With u = (p^3 - p)/24,
     U_p is the set of j that are multiples t u of u with p not dividing t;
     each nonzero residue of t mod p is one stride of step p u.  One bytearray
-    over j, `chunk // 24` entries at a time (`chunk` counts n), takes those
-    strides for every prime and is then counted.
+    over j, `SIEVE_CHUNK // 24` entries at a time, takes those strides for
+    every prime and is then counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
     fam = validate_prime_family(primes)
     steps = [((p**3 - p) // 24, p) for p in fam]
     top = limit // 24
-    span = max(1, chunk // 24)
+    span = max(1, SIEVE_CHUNK // 24)
     marked = bytearray(min(span, top + 1))
     ones = memoryview(b"\x01" * len(marked))
     count = 0

@@ -2,9 +2,12 @@
 
 `GaussianResidue` is an element of Z[i]/nZ[i] kept in canonical form (both
 parts in [0, n)); `GaussianInt` is an exact Gaussian integer on Python's
-arbitrary-precision ints.  `sigma_brute` evaluates the defining double sum
-sum over 1 <= a, b <= n of (a+bi)^k literally and is the ground-truth oracle
-everything faster is measured against.
+arbitrary-precision ints.  Both are values the routes return and compare, not
+rings: the power loops `_pow_mod` and `_pow_exact` work on plain (re, im)
+pairs, and `GaussianInt ** k` is the one operator, for the search.
+`sigma_brute` evaluates the defining double sum sum over 1 <= a, b <= n of
+(a+bi)^k literally and is the ground-truth oracle everything faster is
+measured against.
 
 `sigma_brute_sweep` gives the same cells for every n up to n_max at once, and
 it is still the literal definition: it keeps the double sum exact, unreduced
@@ -32,30 +35,11 @@ class GaussianInt:
     re: int = 0
     im: int = 0
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianInt(a * c - b * d, a * d + b * c)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
     def __pow__(self, k: int) -> "GaussianInt":
         if k < 0:
             raise ValueError("negative powers are not defined here")
         re, im = _pow_exact(self.re, self.im, k)
         return GaussianInt(re, im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def reduce(self, n: int) -> "GaussianResidue":
-        return GaussianResidue(self.re % n, self.im % n, n)
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+}i"
@@ -72,25 +56,6 @@ class GaussianResidue:
         self.n = n
         self.re = re % n
         self.im = im % n
-
-    def _check(self, other: "GaussianResidue") -> None:
-        if self.n != other.n:
-            raise ValueError(f"modulus mismatch: {self.n} != {other.n}")
-
-    def __add__(self, other: "GaussianResidue") -> "GaussianResidue":
-        self._check(other)
-        return GaussianResidue(self.re + other.re, self.im + other.im, self.n)
-
-    def __mul__(self, other: "GaussianResidue") -> "GaussianResidue":
-        self._check(other)
-        re, im = _mul_mod(self.re, self.im, other.re, other.im, self.n)
-        return GaussianResidue(re, im, self.n)
-
-    def __pow__(self, k: int) -> "GaussianResidue":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        re, im = _pow_mod(self.re, self.im, k, self.n)
-        return GaussianResidue(re, im, self.n)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -109,10 +74,6 @@ class GaussianResidue:
 
     def __str__(self) -> str:
         return f"{self.re}+{self.im}i (mod {self.n})"
-
-
-def _mul_mod(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int]:
-    return (a * c - b * d) % n, (a * d + b * c) % n
 
 
 def _pow_mod(a: int, b: int, k: int, n: int) -> tuple[int, int]:

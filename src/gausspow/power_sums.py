@@ -51,20 +51,3 @@ def s_mod_closed(k: int, n: int) -> int:
         residues.append(((n // pe) * c % pe, pe))
     return crt(residues)
 
-
-def carlitz_parity(k: int, n: int) -> int:
-    """Parity of r in S_k(n) = r*n/2 for odd k > 2: 1 iff n = 2 (mod 4)."""
-    if k <= 2 or k % 2 == 0:
-        raise ValueError("defined only for odd k > 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 1 if n % 4 == 2 else 0
-
-
-def divides_s(k: int, n: int) -> bool:
-    """Whether n | S_k(n): n odd with p-1 never dividing k, or 4 | n with odd k > 1."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    if n % 2 == 1:
-        return all(k % (p - 1) != 0 for p, _ in factorize(n))
-    return n % 4 == 0 and k > 1 and k % 2 == 1

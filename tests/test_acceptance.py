@@ -159,12 +159,12 @@ def test_criterion_06_density_bracket(bracket30):
     with criterion("criterion 6: diagonal density bracket"):
         reference_lower = Fraction(971000169, 10**9)
         reference_upper = Fraction(97100071, 10**8)
-        assert bracket30.interval.lower >= reference_lower
-        assert bracket30.interval.upper <= reference_upper
+        assert bracket30.lower >= reference_lower
+        assert bracket30.upper <= reference_upper
         start = time.perf_counter()
         fast = diagonal_bracket(20, 10**6)
-        assert fast.interval.lower <= reference_lower
-        assert fast.interval.upper >= reference_upper
+        assert fast.lower <= reference_lower
+        assert fast.upper >= reference_upper
         assert time.perf_counter() - start < 60.0
 
 

@@ -244,6 +244,16 @@ class TestDensity:
             main(["density"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("digits", ["0", "201"])
+    def test_rejected_digits_print_nothing(self, capsys, fmt, digits):
+        code, out, err = run_cli(
+            capsys, "density", "nk", "--k", "8", "--digits", digits, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: digits must be in [1, 200]\n"
+
 
 class TestWitnessAndSearch:
     def test_witness_json(self, capsys):

@@ -2,17 +2,13 @@
 
 import random
 
-import pytest
-
 from gausspow.arith import inert_primes_up_to, is_prime
 from gausspow.closed_form import sigma_closed
 from gausspow.congruence_sets import (
     diagonal_nonzero_up_to,
     diagonal_witness,
     divides_sigma,
-    eight_multiple_exclusion,
     outside_row_zeros,
-    witness_forces_24,
 )
 from gausspow.gaussian import sigma_brute_sweep
 
@@ -61,21 +57,35 @@ class TestComplementDescriptions:
                 assert (not sigma_closed(k, n).is_zero()) == member, (k, n)
 
 
+def column_zero_exponents(n, k_limit=10**4):
+    """Exponents k <= k_limit with sigma_k(n) = 0 (mod n), per `divides_sigma`."""
+    return {k for k in range(1, k_limit + 1) if divides_sigma(k, n)}
+
+
+EIGHT_MULTIPLES = set(range(8, 10**4 + 1, 8))
+
+
 class TestEightMultipleExclusion:
+    # For 3 || n no multiple of 8 is a zero exponent of column n; unless
+    # n = 2 (mod 4), which also excludes the odd k > 1, every other k is one
     def test_examples(self):
-        assert eight_multiple_exclusion(3) == (True, True)
-        assert eight_multiple_exclusion(6) == (True, False)
-        assert eight_multiple_exclusion(12) == (True, True)
+        for n in (3, 12):
+            zeros = column_zero_exponents(n)
+            assert zeros == set(range(1, 10**4 + 1)) - EIGHT_MULTIPLES, n
+        zeros = column_zero_exponents(6)
+        assert not zeros & EIGHT_MULTIPLES
+        assert zeros == {k for k in range(1, 10**4 + 1) if k % 8 and k % 2 == 0} | {1}
 
     def test_extra_inert_factor_keeps_equality(self):
         # 21 = 3*7 also excludes multiples of 48, already multiples of 8
-        assert eight_multiple_exclusion(21) == (True, True)
+        zeros = column_zero_exponents(21)
+        assert zeros == set(range(1, 10**4 + 1)) - EIGHT_MULTIPLES
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            eight_multiple_exclusion(5)
-        with pytest.raises(ValueError):
-            eight_multiple_exclusion(18)
+        # without 3 || n the multiples of 8 can be zeros: 5 has no inert
+        # factor, and 9 | 18 blocks the witness 3
+        assert EIGHT_MULTIPLES <= column_zero_exponents(5)
+        assert 8 in column_zero_exponents(18)
 
 
 class TestDiagonalWitness:
@@ -130,8 +140,8 @@ class TestCandidateWitnessOracle:
 
 class TestStructure24:
     def test_examples(self):
-        assert witness_forces_24(24) is True
-        assert witness_forces_24(25) is True  # vacuous
+        assert diagonal_witness(24) == 3 and 24 % 24 == 0
+        assert diagonal_witness(25) is None  # vacuous
 
     def test_smallest_witnessed_is_24(self):
         hits = diagonal_nonzero_up_to(10**4)
@@ -142,4 +152,5 @@ class TestStructure24:
         assert hits == direct
 
     def test_forces_24_up_to_1e5(self):
-        assert all(witness_forces_24(n) for n in diagonal_nonzero_up_to(10**5))
+        for n in range(1, 10**5 + 1):
+            assert diagonal_witness(n) is None or n % 24 == 0, n

@@ -4,11 +4,13 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gausspow import density
 from gausspow.arith import inert_primes_up_to, is_prime, sieve_inert_primes
 from gausspow.congruence_sets import outside_row_zeros
 from gausspow.density import (
@@ -16,16 +18,14 @@ from gausspow.density import (
     TAIL_REMAINDER,
     TAIL_REMAINDER_MIN_LIMIT,
     TAIL_SCALE,
-    DensityInterval,
+    DiagonalBracket,
     _merge_sum,
     diagonal_bracket,
-    incompatible,
     intersection_density,
     rounded_tail,
     sieve_complement_count,
     tail_bound,
     union_density,
-    witness_density,
     zero_row_density,
 )
 
@@ -92,32 +92,39 @@ class TestZeroRowDensity:
         assert per_prime_row_count(2880) == expected
 
 
+def witness_density(p):
+    """Density of U_p, 1/(p^2 (p+1)), from the paper's formula."""
+    return Fraction(1, p * p * (p + 1))
+
+
 class TestWitnessDensity:
+    # a one-prime family's intersection is U_p itself
     def test_examples(self):
-        assert witness_density(3) == Fraction(1, 36)
-        assert witness_density(7) == Fraction(1, 392)
+        assert intersection_density([3]) == Fraction(1, 36)
+        assert intersection_density([7]) == Fraction(1, 392)
 
     def test_min_minus_excluded_identity(self):
         for p in sieve_inert_primes(10):
             u = p**3 - p
-            assert witness_density(p) == Fraction(1, u) - Fraction(1, p * u)
+            assert intersection_density([p]) == Fraction(1, u) - Fraction(1, p * u)
 
     def test_rejects_non_inert(self):
         with pytest.raises(ValueError):
-            witness_density(5)
+            intersection_density([5])
 
 
 class TestIncompatible:
+    # U_q and U_p (q < p) cannot intersect exactly when q^2 | p^2 - 1
     def test_examples(self):
-        assert incompatible(3, 19) is True  # 9 | 360
-        assert incompatible(3, 7) is False  # 9 does not divide 48
-        assert incompatible(7, 11) is False
+        assert intersection_density([3, 19]) == 0  # 9 | 360
+        assert intersection_density([3, 7]) > 0  # 9 does not divide 48
+        assert intersection_density([7, 11]) > 0
 
     def test_requires_ordered_odd_primes(self):
         with pytest.raises(ValueError):
-            incompatible(7, 3)
+            intersection_density([7, 3])
         with pytest.raises(ValueError):
-            incompatible(2, 7)
+            intersection_density([2, 7])
 
     def test_pairs_in_first_thirty_all_involve_three(self):
         fam = sieve_inert_primes(30)
@@ -125,7 +132,7 @@ class TestIncompatible:
             (q, p)
             for i, q in enumerate(fam)
             for p in fam[i + 1 :]
-            if incompatible(q, p)
+            if intersection_density([q, p]) == 0
         ]
         assert pairs == [
             (3, 19), (3, 71), (3, 107), (3, 127),
@@ -135,7 +142,8 @@ class TestIncompatible:
 
 class TestIntersectionDensity:
     def test_singleton_matches_witness_density(self):
-        assert intersection_density([3]) == witness_density(3)
+        for p in sieve_inert_primes(10):
+            assert intersection_density([p]) == witness_density(p)
 
     def test_incompatible_pair_vanishes(self):
         assert intersection_density([3, 19]) == 0
@@ -323,14 +331,17 @@ class TestTailRemainderCertificate:
 class TestDiagonalBracket:
     def test_single_prime_upper_bound(self):
         result = diagonal_bracket(1, 10**6)
-        assert result.interval.upper == 1 - Fraction(1, 36) == Fraction(35, 36)
+        assert result.upper == 1 - Fraction(1, 36) == Fraction(35, 36)
         assert result.union == Fraction(1, 36)
 
     def test_interval_validation(self):
+        ingredients = (Fraction(1, 36), Fraction(0), (3,))
         with pytest.raises(ValueError):
-            DensityInterval(Fraction(1, 2), Fraction(1, 3))
+            DiagonalBracket(Fraction(1, 2), Fraction(1, 3), *ingredients)
         with pytest.raises(ValueError):
-            DensityInterval(Fraction(-1, 3), Fraction(1, 3))
+            DiagonalBracket(Fraction(-1, 3), Fraction(1, 3), *ingredients)
+        with pytest.raises(ValueError):
+            DiagonalBracket(Fraction(1, 3), Fraction(4, 3), *ingredients)
 
     def test_rejects_small_tail_limit(self):
         with pytest.raises(ValueError):
@@ -342,17 +353,17 @@ class TestDiagonalBracket:
         start = time.perf_counter()
         result = diagonal_bracket(MAX_UNION_PRIMES, 2 * 10**7)
         assert time.perf_counter() - start < 30.0
-        assert result.interval.lower > Fraction(971, 1000)
+        assert result.lower > Fraction(971, 1000)
 
     def test_monotone_lower_bounds(self):
         small = diagonal_bracket(8, 10**6)
         large = diagonal_bracket(12, 10**6)
-        assert large.interval.lower >= small.interval.lower
-        assert large.interval.upper <= small.interval.upper
-        assert small.interval.lower <= large.interval.lower <= large.interval.upper
+        assert large.lower >= small.lower
+        assert large.upper <= small.upper
+        assert small.lower <= large.lower <= large.upper
 
 
-def chunked_marking_count(limit, primes, chunk=1 << 24):
+def chunked_marking_count(limit, primes, chunk):
     """Count n <= limit in some U_p over all of n, one chunk at a time: per
     prime, mark the multiples of p^3 - p in a scratch array, unmark those of
     p (p^3 - p), and or the scratch array into the union."""
@@ -400,8 +411,10 @@ class TestSieveOracle:
 
     def test_chunking_invariance(self):
         fam = sieve_inert_primes(5)
-        small_chunks = sieve_complement_count(10**5, fam, chunk=997)
-        one_chunk = sieve_complement_count(10**5, fam, chunk=1 << 20)
+        with patch.object(density, "SIEVE_CHUNK", 997):
+            small_chunks = sieve_complement_count(10**5, fam)
+        with patch.object(density, "SIEVE_CHUNK", 1 << 20):
+            one_chunk = sieve_complement_count(10**5, fam)
         assert small_chunks == one_chunk
 
     def test_against_union_density_mid_scale(self):
@@ -421,7 +434,8 @@ class TestSieveOracle:
     def test_lattice_sieve_matches_chunked_marking(self, case):
         fam, limit, chunk = case
         expected = chunked_marking_count(limit, fam, chunk)
-        assert sieve_complement_count(limit, fam, chunk=chunk) == expected
+        with patch.object(density, "SIEVE_CHUNK", chunk):
+            assert sieve_complement_count(limit, fam) == expected
         assert sieve_complement_count(limit, fam) == expected
 
     def test_pinned_counts_at_1e8(self):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from gausspow.gaussian import (
     GaussianInt,
     GaussianResidue,
+    _pow_exact,
+    _pow_mod,
     sigma_brute,
     sigma_brute_rows,
     sigma_brute_sweep,
@@ -14,30 +16,28 @@ from gausspow.gaussian import (
 )
 
 
+def _mul(x, y):
+    """(a + bi)(c + di) on exact (re, im) pairs."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _naive_pow(x, k, n=None):
+    """x^k by k exact multiplications, reduced mod n when n is given."""
+    out = (1, 0)
+    for _ in range(k):
+        out = _mul(out, x)
+    return out if n is None else (out[0] % n, out[1] % n)
+
+
 class TestResidueRing:
-    def test_mul_examples(self):
-        one_i = GaussianResidue(1, 1, 5)
-        assert one_i * one_i == GaussianResidue(0, 2, 5)
-        x = GaussianResidue(3, 4, 7)
-        assert x * GaussianResidue(1, 0, 7) == x
-        # (2+3i)(4+i) = 8 - 3 + (2 + 12)i = 5 + 14i
-        got = GaussianResidue(2, 3, 7) * GaussianResidue(4, 1, 7)
-        assert got == GaussianResidue(5, 0, 7)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            GaussianResidue(1, 1, 5) * GaussianResidue(1, 1, 7)
-
     def test_pow_examples(self):
-        assert GaussianResidue(1, 1, 4) ** 2 == GaussianResidue(0, 2, 4)
-        x = GaussianResidue(2, 3, 11)
-        assert x**1 == x
-        assert x**0 == GaussianResidue(1, 0, 11)
-        y = GaussianResidue(1, 2, 13)
-        by_loop = GaussianResidue(1, 0, 13)
-        for _ in range(8):
-            by_loop *= y
-        assert y**8 == by_loop
+        assert _pow_mod(1, 1, 2, 4) == (0, 2)
+        assert _pow_mod(2, 3, 1, 11) == (2, 3)
+        assert _pow_mod(2, 3, 0, 11) == (1, 0)
+        assert _pow_mod(2, 3, 0, 1) == (0, 0)
+        # (1+2i)^2 = -3+4i, (1+2i)^4 = -7-24i, (1+2i)^8 = -527+336i
+        assert _pow_mod(1, 2, 8, 13) == (-527 % 13, 336 % 13)
 
     def test_canonical_range(self):
         r = GaussianResidue(-1, 13, 5)
@@ -47,41 +47,35 @@ class TestResidueRing:
         st.integers(0, 50),
         st.integers(0, 50),
         st.integers(0, 64),
-        st.integers(2, 60),
+        st.integers(1, 60),
     )
     def test_pow_matches_repeated_mul(self, a, b, k, n):
-        x = GaussianResidue(a, b, n)
-        expected = GaussianResidue(1, 0, n)
-        for _ in range(k):
-            expected *= x
-        assert x**k == expected
+        assert _pow_mod(a, b, k, n) == _naive_pow((a, b), k, n)
 
 
 class TestExactRing:
     def test_pow_example(self):
-        assert GaussianInt(1, 2) ** 8 == _naive_pow(GaussianInt(1, 2), 8)
+        assert GaussianInt(1, 2) ** 8 == GaussianInt(-527, 336)
+        assert _naive_pow((1, 2), 8) == (-527, 336)
 
-    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
-           st.integers(-30, 30))
-    def test_ring_identities(self, a, b, c, d):
-        x, y = GaussianInt(a, b), GaussianInt(c, d)
-        assert (x + y) - y == x
-        assert (x * y).norm() == x.norm() * y.norm()
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(0, 12),
+           st.integers(0, 12))
+    def test_ring_identities(self, a, b, j, k):
+        # z^j z^k = z^(j+k), and the norm is multiplicative: N(z^k) = N(z)^k
+        zj, zk = _pow_exact(a, b, j), _pow_exact(a, b, k)
+        assert _mul(zj, zk) == _pow_exact(a, b, j + k)
+        re, im = zk
+        assert re * re + im * im == (a * a + b * b) ** k
 
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 20))
     def test_pow_matches_naive(self, a, b, k):
-        x = GaussianInt(a, b)
-        assert x**k == _naive_pow(x, k)
-
-    def test_reduce(self):
-        assert GaussianInt(-1, 13).reduce(5) == GaussianResidue(4, 3, 5)
+        assert _pow_exact(a, b, k) == _naive_pow((a, b), k)
+        z = GaussianInt(a, b) ** k
+        assert (z.re, z.im) == _naive_pow((a, b), k)
 
 
-def _naive_pow(x: GaussianInt, k: int) -> GaussianInt:
-    out = GaussianInt(1, 0)
-    for _ in range(k):
-        out = out * x
-    return out
+def _reduce(z: GaussianInt, n: int) -> GaussianResidue:
+    return GaussianResidue(z.re, z.im, n)
 
 
 class TestBruteSigma:
@@ -104,9 +98,9 @@ class TestBruteSigma:
                 sre = sim = 0
                 for a in range(n):
                     for b in range(n):
-                        r = GaussianResidue(a, b, n) ** k
-                        sre += r.re
-                        sim += r.im
+                        re, im = _pow_mod(a, b, k, n)
+                        sre += re
+                        sim += im
                 assert GaussianResidue(sre, sim, n) == rows[k - 1], (k, n)
 
 
@@ -140,26 +134,28 @@ class TestExactSigma:
         assert sigma_exact(2, 2) == GaussianInt(0, 18)
         # (1+i) + (1+2i) + (2+i) + (2+2i)
         assert sigma_exact(1, 2) == GaussianInt(6, 6)
-        assert sigma_exact(3, 3).reduce(3) == sigma_brute(3, 3)
+        assert _reduce(sigma_exact(3, 3), 3) == sigma_brute(3, 3)
         assert sigma_brute(3, 3).is_zero()
 
     def test_reduction_matches_brute_on_grid(self):
         for n, brute_rows in enumerate(sigma_brute_sweep(40, 40), start=1):
             for k in range(1, 41):
-                assert sigma_exact(k, n).reduce(n) == brute_rows[k - 1], (k, n)
+                assert _reduce(sigma_exact(k, n), n) == brute_rows[k - 1], (k, n)
 
     def test_rows_match_single_calls(self):
         # each cell of a row of exact sums is the sum of single ** calls
         for m in range(0, 8):
             for k in range(1, 11):
-                total = GaussianInt()
+                re = im = 0
                 for a in range(1, m + 1):
                     for b in range(1, m + 1):
-                        total += GaussianInt(a, b) ** k
-                assert sigma_exact(k, m) == total, (k, m)
+                        z = GaussianInt(a, b) ** k
+                        re += z.re
+                        im += z.im
+                assert sigma_exact(k, m) == GaussianInt(re, im), (k, m)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 25), st.integers(1, 25))
 def test_exact_reduces_to_brute(k, n):
-    assert sigma_exact(k, n).reduce(n) == sigma_brute(k, n)
+    assert _reduce(sigma_exact(k, n), n) == sigma_brute(k, n)

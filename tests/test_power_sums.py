@@ -2,7 +2,8 @@
 
 import pytest
 
-from gausspow.power_sums import carlitz_parity, divides_s, s_mod_closed, s_mod_naive
+from gausspow.arith import factorize
+from gausspow.power_sums import s_mod_closed, s_mod_naive
 
 
 class TestNaive:
@@ -39,44 +40,41 @@ class TestClosed:
 
 
 class TestCarlitzParity:
+    # For odd k > 2, S_k(n) = r n/2 with r odd exactly when n = 2 (mod 4)
     def test_examples(self):
-        assert carlitz_parity(3, 6) == 1
-        assert carlitz_parity(3, 8) == 0
-        assert carlitz_parity(5, 10) == 1
-        # confirm via the naive sum: S_5(10) = r * 5 with r odd
+        assert s_mod_naive(3, 6) == 3
+        assert s_mod_naive(3, 8) == 0
+        # S_5(10) = r * 5 with r odd
         r = 2 * s_mod_naive(5, 10) // 10  # residue n/2 <-> r odd
         assert s_mod_naive(5, 10) == 5 and r == 1
-
-    def test_rejects_bad_k(self):
-        for bad in (2, 4, 1, -3):
-            with pytest.raises(ValueError):
-                carlitz_parity(bad, 6)
 
     def test_half_multiple_structure_on_grid(self):
         # For odd k > 2 the sum is r*n/2: residue is 0, or n/2 when n = 2 mod 4
         for k in range(3, 41, 2):
             for n in range(1, 201):
                 res = s_mod_naive(k, n)
-                if n % 4 == 2:
-                    assert res == n // 2
-                    assert carlitz_parity(k, n) == 1
-                else:
-                    assert res == 0
-                    assert carlitz_parity(k, n) == 0
+                assert res == (n // 2 if n % 4 == 2 else 0), (k, n)
+
+
+def vanishing_criterion(k, n):
+    """n | S_k(n): n odd with p - 1 never dividing k, or 4 | n with odd k > 1."""
+    if n % 2 == 1:
+        return all(k % (p - 1) != 0 for p, _ in factorize(n))
+    return n % 4 == 0 and k > 1 and k % 2 == 1
 
 
 class TestDividesS:
     def test_examples(self):
         # n = 5 odd, p - 1 = 4 does not divide 2
-        assert divides_s(2, 5) is True
+        assert vanishing_criterion(2, 5) and s_mod_closed(2, 5) == 0
         assert sum(i**2 for i in range(1, 6)) == 55 and 55 % 5 == 0
         # p - 1 = 4 divides 4: fails
-        assert divides_s(4, 5) is False
+        assert not vanishing_criterion(4, 5) and s_mod_closed(4, 5) == 4
         assert sum(i**4 for i in range(1, 6)) == 979 and 979 % 5 == 4
         # multiple of 4, odd k > 1
-        assert divides_s(3, 4) is True
+        assert vanishing_criterion(3, 4) and s_mod_closed(3, 4) == 0
 
     def test_characterizes_vanishing_on_grid(self):
         for k in range(1, 41):
             for n in range(1, 201):
-                assert divides_s(k, n) == (s_mod_naive(k, n) == 0), (k, n)
+                assert vanishing_criterion(k, n) == (s_mod_naive(k, n) == 0), (k, n)

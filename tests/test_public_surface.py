@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import gausspow
+from gausspow import gaussian
 
 REMOVED = (
     "lcm_accumulate",
@@ -18,7 +19,21 @@ REMOVED = (
     "squarefree_term",
     "closed_period",
     "primes_up_to",
+    "carlitz_parity",
+    "divides_s",
+    "eight_multiple_exclusion",
+    "witness_forces_24",
+    "witness_density",
+    "incompatible",
+    "DensityInterval",
 )
+
+# The Gaussian types are values, not rings: the routes call the power loops
+# directly, and `GaussianInt ** k` is the one operator the search uses.
+REMOVED_MEMBERS = {
+    gaussian.GaussianInt: ("__add__", "__sub__", "__mul__", "__neg__", "norm", "reduce"),
+    gaussian.GaussianResidue: ("__add__", "__mul__", "__pow__", "_check"),
+}
 
 
 def test_every_exported_name_resolves():
@@ -34,6 +49,13 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in gausspow.__all__
         assert not hasattr(gausspow, name), name
+
+
+def test_removed_members_are_gone():
+    for cls, members in REMOVED_MEMBERS.items():
+        for member in members:
+            assert not hasattr(cls, member), f"{cls.__name__}.{member}"
+    assert not hasattr(gaussian, "_mul_mod")
 
 
 def _perfbench_spans():
