@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .arith import decimal_render, sieve_inert_primes
 from .closed_form import (
-    MAX_EXPANSION_K, sigma_closed, sigma_expansion, sigma_expansion_rows,
+    MAX_EXPANSION_K, row_witness_primes, sigma_closed, sigma_closed_row,
+    sigma_expansion, sigma_expansion_rows,
 )
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
@@ -38,8 +39,9 @@ EPSILON_LEGEND = "ϵ := (1 + i)"
 # expansion rows dominate; at kmax = 1 the sweep to 291 takes about 0.05 s.
 MAX_VERIFY_WORK = 25 * 10**6
 
-# Largest kmax and nmax `table` accepts: 500 x 500 closed-form cells take about
-# 0.9 s as JSON, the slowest format, on a 2-core x86 host.
+# Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,
+# so 500 x 500 takes about 0.01 s in `cmd_table` in any format (about 0.2 s
+# for the whole command, mostly interpreter start) on a 2-core x86 host.
 MAX_TABLE_SIDE = 500
 
 
@@ -73,30 +75,32 @@ def cmd_table(args) -> int:
     kmax, nmax = args.kmax, args.nmax
     if not (1 <= kmax <= MAX_TABLE_SIDE and 1 <= nmax <= MAX_TABLE_SIDE):
         raise ValueError(f"kmax and nmax must be in [1, {MAX_TABLE_SIDE}]")
-    grid = [[sigma_closed(k, n) for n in range(1, nmax + 1)] for k in range(1, kmax + 1)]
+    # A row depends on k only through its class (closed_form docstring), so
+    # each class row is evaluated and rendered once and printed for every k.
+    keys = [(k > 1 and k % 2 == 1, row_witness_primes(k)) for k in range(1, kmax + 1)]
+    rows = {}
+    for k, key in enumerate(keys, start=1):
+        if key not in rows:
+            rows[key] = sigma_closed_row(k, nmax)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "kmax": kmax,
-                    "nmax": nmax,
-                    "rows": [[[c.re, c.im] for c in row] for row in grid],
-                }
-            )
-        )
+        text = {key: json.dumps([[c.re, c.im] for c in row]) for key, row in rows.items()}
+        body = ", ".join(text[key] for key in keys)
+        print(f'{{"kmax": {kmax}, "nmax": {nmax}, "rows": [{body}]}}')
         return 0
     if args.format == "csv":
+        text = {key: ",".join(_cell_csv(c) for c in row) for key, row in rows.items()}
         print("k," + ",".join(str(n) for n in range(1, nmax + 1)))
-        for k, row in enumerate(grid, start=1):
-            print(f"{k}," + ",".join(_cell_csv(c) for c in row))
+        for k, key in enumerate(keys, start=1):
+            print(f"{k}," + text[key])
         return 0
-    cells = [[_cell_text(c) for c in row] for row in grid]
-    width = max(2, max(len(s) for row in cells for s in row))
+    cells = {key: [_cell_text(c) for c in row] for key, row in rows.items()}
+    width = max(2, max(len(s) for row in cells.values() for s in row))
+    text = {key: " ".join(s.rjust(width) for s in row) for key, row in cells.items()}
     head = "k\\n " + " ".join(str(n).rjust(width) for n in range(1, nmax + 1))
     print(EPSILON_LEGEND)
     print(head)
-    for k, row in enumerate(cells, start=1):
-        print(f"{k:>3}  " + " ".join(s.rjust(width) for s in row))
+    for k, key in enumerate(keys, start=1):
+        print(f"{k:>3}  " + text[key])
     return 0
 
 
@@ -106,10 +110,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"requires 1 <= kmax <= {MAX_EXPANSION_K} and nmax >= 1")
     if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
         raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
+    closed_rows = [sigma_closed_row(k, nmax) for k in range(1, kmax + 1)]
     for n, brute in enumerate(sigma_brute_sweep(nmax, kmax), start=1):
         expansion = sigma_expansion_rows(n, kmax)
         for k in range(1, kmax + 1):
-            closed = sigma_closed(k, n)
+            closed = closed_rows[k - 1][n - 1]
             if not (closed == expansion[k - 1] == brute[k - 1]):
                 print(
                     f"MISMATCH at k={k} n={n}: closed={closed} "

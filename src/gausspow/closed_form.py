@@ -10,6 +10,13 @@ and reads
     sigma_k(n) =  (n/2)(1+i)                    if k > 1 odd and n = 2 (mod 4),
                   - sum_{p in W(k,n)} n^2/p^2   otherwise (purely real).
 
+So sigma_k(n) mod n depends on k only through its row class: whether k > 1
+is odd, and the row witness primes R(k) (`row_witness_primes`), the primes
+p = 3 (mod 4) with p^2 - 1 | k.  W(k, n) is then the p in R(k) with p | n and
+p^2 not dividing n, so a whole row needs no factorization:
+`sigma_closed_row` evaluates it from R(k) alone, and `cli.cmd_table`
+evaluates and renders each class once.
+
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of
 (a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
@@ -21,6 +28,7 @@ gives the brute rows of every n up to n_max in one pass.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import comb, isqrt
 
 from .arith import MAX_FACTOR_INPUT, factorize, is_prime
@@ -73,7 +81,24 @@ def is_half_epsilon_case(k: int, n: int) -> bool:
 
 def sigma_closed(k: int, n: int) -> GaussianResidue:
     """sigma_k(n) mod n by the closed formula."""
-    witnesses = witness_primes(k, n)  # checks k and n first, whatever the case
+    # witness_primes checks k and n first, whatever the case
+    return _closed_cell(k, n, witness_primes(k, n))
+
+
+def sigma_closed_row(k: int, n_max: int) -> list[GaussianResidue]:
+    """[sigma_closed(k, n) for n in 1..n_max], from R(k) with no factoring;
+    k is held to [1, MAX_ROW_K] like `row_witness_primes`."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    row_primes = row_witness_primes(k)  # checks k
+    return [
+        _closed_cell(k, n, [p for p in row_primes if n % p == 0 and n % (p * p)])
+        for n in range(1, n_max + 1)
+    ]
+
+
+def _closed_cell(k: int, n: int, witnesses: Iterable[int]) -> GaussianResidue:
+    """The closed formula at (k, n), given W(k, n)."""
     if is_half_epsilon_case(k, n):
         return GaussianResidue(n // 2, n // 2, n)
     total = sum(n * n // (p * p) for p in witnesses)

@@ -41,9 +41,6 @@ class GaussianInt:
         re, im = _pow_exact(self.re, self.im, k)
         return GaussianInt(re, im)
 
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+}i"
-
 
 class GaussianResidue:
     """Element of Z[i]/nZ[i] with both components canonicalized to [0, n)."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from gausspow.arith import decimal_render, inert_primes_up_to, sieve_inert_primes
+from gausspow.arith import decimal_render, sieve_inert_primes
 from gausspow.binomial_sums import dilcher_sum, hermite_sum, signed_lacunary_sum
 from gausspow.closed_form import sigma_closed, sigma_expansion
 from gausspow.congruence_sets import diagonal_nonzero_up_to, diagonal_witness

@@ -3,6 +3,8 @@
 from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspow.arith import MAX_FACTOR_INPUT, factorize
 from gausspow.closed_form import (
@@ -12,6 +14,7 @@ from gausspow.closed_form import (
     is_half_epsilon_case,
     row_witness_primes,
     sigma_closed,
+    sigma_closed_row,
     sigma_expansion,
     sigma_expansion_rows,
     witness_primes,
@@ -85,6 +88,53 @@ class TestClosedValues:
             sigma_closed(0, 5)
         with pytest.raises(ValueError):
             sigma_expansion(3, 0)
+
+
+class TestClosedRow:
+    """`sigma_closed_row` against the per-cell closed form it replaces in
+    `table` and `verify`."""
+
+    def test_matches_cells_on_square(self):
+        for k in range(1, 501):
+            row = sigma_closed_row(k, 500)
+            assert len(row) == 500
+            for n, cell in enumerate(row, start=1):
+                assert cell == sigma_closed(k, n), (k, n)
+
+    @pytest.mark.parametrize(
+        "k, primes, n",
+        [
+            (212520, (3, 11, 43, 139), 3 * 11 * 43),
+            (7920, (3, 7, 11, 19, 23), 3 * 7 * 11),
+        ],
+    )
+    def test_rows_with_several_witness_primes(self, k, primes, n):
+        assert row_witness_primes(k) == primes
+        row = sigma_closed_row(k, 2000)
+        assert row == [sigma_closed(k, m) for m in range(1, 2001)]
+        # three witnesses at once: -sum n^2 / p^2 over the three primes of n
+        total = sum(n * n // (p * p) for p in primes if n % p == 0)
+        assert row[n - 1] == GaussianResidue(-total, 0, n) != GaussianResidue(0, 0, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.one_of(
+            st.integers(1, MAX_ROW_K),
+            st.integers(1, MAX_ROW_K // 7920).map(lambda m: 7920 * m),
+        ),
+        n_max=st.integers(1, 300),
+    )
+    def test_matches_cells_up_to_row_cap(self, k, n_max):
+        assert sigma_closed_row(k, n_max) == [
+            sigma_closed(k, n) for n in range(1, n_max + 1)
+        ]
+
+    def test_guards(self):
+        for k in (0, MAX_ROW_K + 1):
+            with pytest.raises(ValueError):
+                sigma_closed_row(k, 5)
+        with pytest.raises(ValueError):
+            sigma_closed_row(8, 0)
 
 
 class TestExpansionRoute:

@@ -56,6 +56,7 @@ def test_removed_members_are_gone():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
     assert not hasattr(gaussian, "_mul_mod")
+    assert "__str__" not in vars(gaussian.GaussianInt)  # the dataclass repr stays
 
 
 def _perfbench_spans():
