@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .arith import decimal_render, sieve_inert_primes
 from .closed_form import (
-    MAX_EXPANSION_K, row_witness_primes, sigma_closed, sigma_closed_row,
-    sigma_expansion, sigma_expansion_rows,
+    MAX_EXPANSION_K, row_class, sigma_closed, sigma_closed_row, sigma_expansion,
+    sigma_expansion_rows,
 )
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
@@ -77,7 +77,7 @@ def cmd_table(args) -> int:
         raise ValueError(f"kmax and nmax must be in [1, {MAX_TABLE_SIDE}]")
     # A row depends on k only through its class (closed_form docstring), so
     # each class row is evaluated and rendered once and printed for every k.
-    keys = [(k > 1 and k % 2 == 1, row_witness_primes(k)) for k in range(1, kmax + 1)]
+    keys = [row_class(k) for k in range(1, kmax + 1)]
     rows = {}
     for k, key in enumerate(keys, start=1):
         if key not in rows:
@@ -192,7 +192,7 @@ def cmd_primes(args) -> int:
     return 0
 
 
-def _configure_sigma(p, rest) -> None:
+def _configure_sigma(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -201,27 +201,27 @@ def _configure_sigma(p, rest) -> None:
     p.set_defaults(func=cmd_sigma)
 
 
-def _configure_table(p, rest) -> None:
+def _configure_table(p) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_table)
 
 
-def _configure_verify(p, rest) -> None:
+def _configure_verify(p) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=cmd_verify)
 
 
-def _configure_density_nk(p, rest) -> None:
+def _configure_density_nk(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", type=int, default=19)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_density, target="nk")
 
 
-def _configure_density_m(p, rest) -> None:
+def _configure_density_m(p) -> None:
     p.add_argument("--primes", type=int, default=20)
     p.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
     p.add_argument("--digits", type=int, default=19)
@@ -235,34 +235,30 @@ DENSITY_TARGETS = {
 }
 
 
-def _configure_density(p, rest) -> None:
-    _add_commands(p, "target", DENSITY_TARGETS, rest)
-    p.set_defaults(func=cmd_density)
-
-
-def _configure_witness(p, rest) -> None:
+def _configure_witness(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_witness)
 
 
-def _configure_em_search(p, rest) -> None:
+def _configure_em_search(p) -> None:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.set_defaults(func=cmd_em_search)
 
 
-def _configure_primes(p, rest) -> None:
+def _configure_primes(p) -> None:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_primes)
 
 
-# Subcommand name -> (help line, configure(parser, argv after the name)).
+# Subcommand name -> (help line, configure(parser)), or for `density`
+# (help line, (dest, table of targets)): its parser gets subparsers of its own.
 COMMANDS = {
     "sigma": ("evaluate the power sum mod n", _configure_sigma),
     "table": ("render the k x n value table", _configure_table),
     "verify": ("sweep all three evaluation routes", _configure_verify),
-    "density": ("exact density computations", _configure_density),
+    "density": ("exact density computations", ("target", DENSITY_TARGETS)),
     "witness": ("smallest diagonal witness prime for n", _configure_witness),
     "em-search": ("exhaustive equation search", _configure_em_search),
     "primes": ("list the smallest inert primes", _configure_primes),
@@ -287,7 +283,11 @@ def _add_commands(parser, dest: str, table: dict, argv) -> None:
         sub = parser.add_subparsers(dest=dest, required=True)
         chosen, rest = table, ()
     for cmd, (help_text, configure) in chosen.items():
-        configure(sub.add_parser(cmd, help=help_text), rest)
+        p = sub.add_parser(cmd, help=help_text)
+        if isinstance(configure, tuple):
+            _add_commands(p, *configure, rest)
+        else:
+            configure(p)
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:

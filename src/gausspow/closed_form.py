@@ -14,8 +14,10 @@ So sigma_k(n) mod n depends on k only through its row class: whether k > 1
 is odd, and the row witness primes R(k) (`row_witness_primes`), the primes
 p = 3 (mod 4) with p^2 - 1 | k.  W(k, n) is then the p in R(k) with p | n and
 p^2 not dividing n, so a whole row needs no factorization:
-`sigma_closed_row` evaluates it from R(k) alone, and `cli.cmd_table`
-evaluates and renders each class once.
+`sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is that key,
+and two callers evaluate each class row once: `cli.cmd_table`, which also
+renders it once, and `moser_search.search_solutions`, whose first two
+filters read sigma_k(m-1) and sigma_k(m) off the row.
 
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of
@@ -72,6 +74,12 @@ def row_witness_primes(k: int) -> tuple[int, ...]:
         for p in range(3, isqrt(k + 1) + 1, 4)
         if k % (p * p - 1) == 0 and is_prime(p)
     )
+
+
+def row_class(k: int) -> tuple[bool, tuple[int, ...]]:
+    """The key that row k of sigma_k(n) mod n depends on: whether k > 1 is
+    odd, and R(k) = `row_witness_primes(k)`."""
+    return k > 1 and k % 2 == 1, row_witness_primes(k)
 
 
 def is_half_epsilon_case(k: int, n: int) -> bool:

@@ -1,11 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-slow checks (the k, m < 100 search box, about 0.1 s now that the search
-sieves by residues, the 1e8 sieve, a few milliseconds now that it marks the
-lattice n = 24 j, and the 30-prime bracket fixture shared by criteria 5, 6
-and 8) carry the `slow` marker and can be deselected with
-`-m "not slow"`.
+slow checks (the k, m < 100 search box, about 0.03 s now that the search
+sieves by residues off one closed row per row class, the 1e8 sieve, a few
+milliseconds now that it marks the lattice n = 24 j, and the 30-prime
+bracket fixture shared by criteria 5, 6 and 8) carry the `slow` marker and
+can be deselected with `-m "not slow"`.
 """
 
 import time

@@ -628,7 +628,7 @@ class TestInputCaps:
             capsys, "em-search", "--kmax", str(SEARCH_GUARD), "--mmax", str(SEARCH_GUARD)
         )
         assert code == 0
-        assert seconds < 30.0
+        assert seconds < 5.0
         assert out == '{"k": 2, "m": 3, "lhs_re": 0, "lhs_im": 18}\n'
 
     def test_search_above_cap(self, capsys):

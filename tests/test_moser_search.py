@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from gausspow.closed_form import sigma_closed_row
 from gausspow.gaussian import GaussianInt, _pow_exact, sigma_exact
 from gausspow.moser_search import (
+    SEARCH_GUARD,
     SIEVE_PRIMES,
     Solution,
+    _first_filter,
     _sieve_residues,
     search_solutions,
 )
@@ -67,6 +70,12 @@ class TestSearch:
                 rhs = GaussianInt(m, m) ** k
                 assert (lhs == rhs) == ((k, m) == (2, 3)), (k, m)
 
+    def test_boxes_ending_past_a_power_of_two(self):
+        # filter (ii) reads the last cell of the class row, sigma_k(m_max - 1),
+        # only when m = m_max - 1 passes filter (i): m_max - 2 a power of 2
+        for m_max in (3, 4, 6, 10, 18, 34):
+            assert search_solutions(40, m_max) == oracle_search(40, m_max), m_max
+
     def test_row_one_has_no_solutions(self):
         # for k = 1 the square sum is (m-1)^2 m / 2 * (1+i) against m(1+i),
         # forcing (m-1)^2 = 2, impossible in integers
@@ -82,19 +91,44 @@ class TestSearch:
             search_solutions(501, 10)
         with pytest.raises(ValueError):
             search_solutions(10, 0)
+        # boxes with no m or no k to try are accepted and empty
+        assert search_solutions(5, 1) == search_solutions(5, 2) == []
+        assert search_solutions(1, SEARCH_GUARD) == []
 
 
 class TestSieve:
     def test_each_filter_reduces_the_exact_sum(self):
         # every filter must compare sigma_exact(k, m-1) reduced by its
-        # modulus with (m + mi)^k, or it could reject a true solution
+        # modulus with (m + mi)^k, or it could reject a true solution;
+        # filter (i) reads the class row, and the generator the rest
         for k in range(1, 40):
+            row = sigma_closed_row(k, 39)
+            one_plus_i_k = _pow_exact(1, 1, k)
+            passed = _first_filter(row, one_plus_i_k, 40)
             for m, lhs in exact_square_sums(k, 40):
-                moduli = []
-                for n, residue in _sieve_residues(k, m):
+                r, n = row[m - 2], m - 1
+                assert (r.re, r.im) == (lhs.re % n, lhs.im % n), (k, m)
+                rhs = GaussianInt(m, m) ** k
+                first = (rhs.re % n, rhs.im % n) == (r.re, r.im)
+                assert first == (m in passed), (k, m)
+                moduli = [n]
+                for n, residue in _sieve_residues(k, m, row):
                     moduli.append(n)
                     assert residue == (lhs.re % n, lhs.im % n), (k, m, n)
                 assert moduli == [m - 1, m, *SIEVE_PRIMES]
+
+    def test_first_filter_leaves_only_powers_of_two(self):
+        # the lemma of the module docstring, on the guard box: a pair with
+        # m >= 3 passing filter (i) has m - 1 a power of 2
+        passed = []
+        for k in range(1, SEARCH_GUARD):
+            row = sigma_closed_row(k, SEARCH_GUARD - 1)
+            survivors = _first_filter(row, _pow_exact(1, 1, k), SEARCH_GUARD)
+            passed += [(k, m) for m in survivors]
+        assert len(passed) == 4178
+        assert sum(m == 2 for _, m in passed) == SEARCH_GUARD - 1
+        for k, m in passed:
+            assert m == 2 or (m - 1) & (m - 2) == 0, (k, m)
 
     def test_oracle_matches_direct_sums(self):
         for k in (1, 2, 7):
