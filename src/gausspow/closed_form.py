@@ -16,8 +16,8 @@ p = 3 (mod 4) with p^2 - 1 | k.  W(k, n) is then the p in R(k) with p | n and
 p^2 not dividing n, so a whole row needs no factorization:
 `sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is that key,
 and two callers evaluate each class row once: `cli.cmd_table`, which also
-renders it once, and `moser_search.search_solutions`, whose first two
-filters read sigma_k(m-1) and sigma_k(m) off the row.
+renders it once, and `moser_search.search_solutions`, whose first filter
+reads sigma_k(m-1) off the row.
 
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of

@@ -9,15 +9,17 @@ pairs, and `GaussianInt ** k` is the one operator, for the search.
 (a+bi)^k literally and is the ground-truth oracle everything faster is
 measured against.
 
-`sigma_brute_sweep` gives the same cells for every n up to n_max at once, and
-it is still the literal definition: it keeps the double sum exact, unreduced
-in Z[i], and grows the square [1, n]^2 from [1, n-1]^2 by its border of
-2n - 1 terms, reducing mod n only when row n is read off.  No identity of the
-power sums enters, only that union of squares.
+`exact_square_sweep` is the one place where the square grows: it keeps the
+double sum exact, unreduced in Z[i], for every k up to k_max, and grows
+[1, n]^2 from [1, n-1]^2 by its border of 2n - 1 terms.  No identity of the
+power sums enters, only that union of squares.  `sigma_brute_sweep` reduces
+each row it yields mod n, so it gives the cells of `sigma_brute` for every n
+up to n_max at once and is still the literal definition.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # Largest inputs `sigma_brute` accepts.  It takes n^2 powers of bit_length(k)
@@ -114,18 +116,20 @@ def sigma_brute(k: int, n: int) -> GaussianResidue:
     return GaussianResidue(sre, sim, n)
 
 
-def sigma_brute_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
-    """[[sigma_brute(k, n) for k in 1..k_max] for n in 1..n_max] in one pass.
+def exact_square_sweep(
+    n_max: int, k_max: int
+) -> Iterator[list[tuple[int, int]]]:
+    """For n in 1..n_max, the exact sums over [1, n]^2 of (a+bi)^k for k in
+    1..k_max, as (re, im) pairs in a new list that later steps leave alone.
 
-    The exact sums over [1, n]^2 are the sums over [1, n-1]^2 plus the border
-    terms a = n, and b = n with a < n; each term carries its powers up through
+    The sums over [1, n]^2 are the sums over [1, n-1]^2 plus the border terms
+    a = n, and b = n with a < n; each term carries its powers up through
     k_max by exact multiplication.  O(k_max * n_max^2) exact steps.
     """
     if k_max < 1 or n_max < 1:
         raise ValueError("k_max and n_max must be >= 1")
     re = [0] * k_max
     im = [0] * k_max
-    rows = []
     for n in range(1, n_max + 1):
         border = [(n, b) for b in range(1, n + 1)] + [(a, n) for a in range(1, n)]
         for a, b in border:
@@ -134,8 +138,16 @@ def sigma_brute_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
                 ca, cb = ca * a - cb * b, ca * b + cb * a
                 re[k] += ca
                 im[k] += cb
-        rows.append([GaussianResidue(x, y, n) for x, y in zip(re, im)])
-    return rows
+        yield list(zip(re, im))
+
+
+def sigma_brute_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
+    """[[sigma_brute(k, n) for k in 1..k_max] for n in 1..n_max] in one pass:
+    the rows of `exact_square_sweep`, each reduced mod its n."""
+    return [
+        [GaussianResidue(x, y, n) for x, y in row]
+        for n, row in enumerate(exact_square_sweep(n_max, k_max), start=1)
+    ]
 
 
 def sigma_brute_rows(n: int, k_max: int) -> list[GaussianResidue]:

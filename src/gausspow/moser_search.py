@@ -9,19 +9,15 @@ every filter.  In order, with (m + mi)^k reduced by the same modulus:
 
 (i) mod m-1: sigma_exact(k, m-1) mod m-1 is the paper's closed form
     sigma_closed(k, m-1), and (m + mi)^k = (1 + i)^k there;
-(ii) mod m: the cells of [1, m]^2 outside [1, m-1]^2 reduce to
-    i^k S_k(m) + S_k(m), so the sum is sigma_closed(k, m) - (1 + i^k) S_k(m),
-    and (m + mi)^k = 0;
-(iii) mod each prime p in SIEVE_PRIMES: the sum over r, s mod p of
+(ii) mod each prime p in SIEVE_PRIMES: the sum over r, s mod p of
     c_r c_s (r + si)^k, where c_r counts the 1 <= a <= m-1 with a = r
     (mod p).  These catch m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1) once
     k >= 2j.
 
 The closed form depends on k only through its row class
-(`closed_form.row_class`), so (i) and (ii) read sigma_k(m-1) and sigma_k(m)
-off one `sigma_closed_row` per class, and (i) compares it with the exact
-(1 + i)^k, computed once per k: (i) factors nothing, and only its
-survivors factor m, for S_k(m).
+(`closed_form.row_class`), so (i) reads sigma_k(m-1) off one
+`sigma_closed_row` per class and compares it with the exact (1 + i)^k,
+computed once per k.  The search factors nothing.
 
 Lemma: a pair with m >= 3 that passes (i) has m - 1 a power of 2.  Write
 n = m - 1 >= 2 and W(k, n) for the witness primes of `closed_form`.  For
@@ -40,21 +36,16 @@ exact comparison decides every survivor.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .closed_form import row_class, sigma_closed_row
 from .gaussian import GaussianInt, GaussianResidue, _pow_exact, _pow_mod, sigma_exact
-from .power_sums import s_mod_closed
 
 SEARCH_GUARD = 500
 
-# Small odd primes for the last filters.  Over k, m < 500 the primes up to
+# Small odd primes for filter (ii).  Over k, m < 500 the primes up to
 # 23 already leave only (2, 3); the rest cost nothing once a pair is rejected.
 SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-
-# 1 + i^k as (re, im), indexed by k mod 4.
-_ONE_PLUS_I_POWERS = ((2, 0), (1, 1), (0, 0), (1, -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +55,6 @@ class Solution:
     k: int
     m: int
     value: GaussianInt
-
-
-def _sum_mod_m(k: int, m: int, r: GaussianResidue) -> tuple[int, int]:
-    """sigma_exact(k, m-1) mod m, as r = sigma_k(m) less its last row and column."""
-    s = s_mod_closed(k, m)
-    ure, uim = _ONE_PLUS_I_POWERS[k % 4]
-    return (r.re - ure * s) % m, (r.im - uim * s) % m
 
 
 def _sum_mod_prime(k: int, m: int, p: int) -> tuple[int, int]:
@@ -100,24 +84,14 @@ def _first_filter(
     ]
 
 
-def _sieve_residues(
-    k: int, m: int, row: list[GaussianResidue]
-) -> Iterator[tuple[int, tuple[int, int]]]:
-    """(modulus, sigma_exact(k, m-1) reduced by it) for filter (ii) and then
-    each prime of filter (iii), computed lazily so a rejected pair pays only
-    for the filters it reached; row[m-1] is sigma_k(m) off k's class row."""
-    yield m, _sum_mod_m(k, m, row[m - 1])
-    for p in SIEVE_PRIMES:
-        yield p, _sum_mod_prime(k, m, p)
-
-
 def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     """All (k, m) with 1 <= k < k_max, 2 <= m < m_max solving the equation,
     ordered by (k, m).
 
-    Each pair must pass every residue filter before its exact equality check.
-    Each row class's closed row is evaluated once, to m_max - 1, and
-    (1 + i)^k once per k.
+    Each pair must pass every residue filter before its exact equality check;
+    the primes of filter (ii) are tried in turn, so a rejected pair pays only
+    for those it reached.  Each row class's closed row is evaluated once, to
+    m_max - 2, and (1 + i)^k once per k.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
@@ -128,11 +102,11 @@ def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     for k in range(1, k_max):
         key = row_class(k)
         if key not in rows:
-            rows[key] = sigma_closed_row(k, m_max - 1)
+            rows[key] = sigma_closed_row(k, m_max - 2)
         row = rows[key]
         for m in _first_filter(row, _pow_exact(1, 1, k), m_max):
             if not all(
-                lhs == _pow_mod(m, m, k, n) for n, lhs in _sieve_residues(k, m, row)
+                _sum_mod_prime(k, m, p) == _pow_mod(m, m, k, p) for p in SIEVE_PRIMES
             ):
                 continue
             lhs = sigma_exact(k, m - 1)

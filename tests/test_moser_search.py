@@ -5,43 +5,29 @@ import random
 
 import pytest
 
+from gausspow import moser_search
 from gausspow.closed_form import sigma_closed_row
-from gausspow.gaussian import GaussianInt, _pow_exact, sigma_exact
+from gausspow.gaussian import GaussianInt, _pow_exact, exact_square_sweep, sigma_exact
 from gausspow.moser_search import (
     SEARCH_GUARD,
     SIEVE_PRIMES,
     Solution,
     _first_filter,
-    _sieve_residues,
+    _sum_mod_prime,
     search_solutions,
 )
 
 
-def exact_square_sums(k, m_max):
-    """(m, sigma_exact(k, m-1)) for 2 <= m < m_max, growing the square
-    incrementally: enlarging the side from t-1 to t adds the new row b = t
-    and column a = t."""
-    sre = sim = 0
-    for t in range(1, m_max - 1):
-        for a in range(1, t + 1):
-            re, im = _pow_exact(a, t, k)
-            sre += re
-            sim += im
-        for b in range(1, t):
-            re, im = _pow_exact(t, b, k)
-            sre += re
-            sim += im
-        yield t + 1, GaussianInt(sre, sim)
-
-
 def oracle_search(k_max, m_max):
-    """The search with no sieve: every pair is compared exactly."""
-    return [
-        Solution(k, m, lhs)
-        for k in range(1, k_max)
-        for m, lhs in exact_square_sums(k, m_max)
-        if lhs == GaussianInt(m, m) ** k
+    """The search with no sieve: every pair is compared exactly, ordered by
+    (k, m); row m - 2 of the sweep holds sigma_exact(k, m-1) for each k."""
+    found = [
+        Solution(k, m, GaussianInt(*lhs))
+        for m, row in enumerate(exact_square_sweep(m_max - 2, k_max - 1), start=2)
+        for k, lhs in enumerate(row, start=1)
+        if lhs == _pow_exact(m, m, k)
     ]
+    return sorted(found, key=lambda s: (s.k, s.m))
 
 
 class TestSearch:
@@ -71,8 +57,9 @@ class TestSearch:
                 assert (lhs == rhs) == ((k, m) == (2, 3)), (k, m)
 
     def test_boxes_ending_past_a_power_of_two(self):
-        # filter (ii) reads the last cell of the class row, sigma_k(m_max - 1),
-        # only when m = m_max - 1 passes filter (i): m_max - 2 a power of 2
+        # checks the class row's length at the box edge: filter (i) reads its
+        # last cell, sigma_k(m_max - 2), only when m = m_max - 1 can pass,
+        # which by the lemma needs m_max - 2 a power of 2
         for m_max in (3, 4, 6, 10, 18, 34):
             assert search_solutions(40, m_max) == oracle_search(40, m_max), m_max
 
@@ -100,29 +87,30 @@ class TestSieve:
     def test_each_filter_reduces_the_exact_sum(self):
         # every filter must compare sigma_exact(k, m-1) reduced by its
         # modulus with (m + mi)^k, or it could reject a true solution;
-        # filter (i) reads the class row, and the generator the rest
+        # filter (i) reads the class row, filter (ii) `_sum_mod_prime`
+        sums = list(exact_square_sweep(38, 39))  # sums[m-2][k-1]
         for k in range(1, 40):
-            row = sigma_closed_row(k, 39)
-            one_plus_i_k = _pow_exact(1, 1, k)
-            passed = _first_filter(row, one_plus_i_k, 40)
-            for m, lhs in exact_square_sums(k, 40):
+            row = sigma_closed_row(k, 38)
+            passed = _first_filter(row, _pow_exact(1, 1, k), 40)
+            for m in range(2, 40):
+                re, im = sums[m - 2][k - 1]
                 r, n = row[m - 2], m - 1
-                assert (r.re, r.im) == (lhs.re % n, lhs.im % n), (k, m)
-                rhs = GaussianInt(m, m) ** k
-                first = (rhs.re % n, rhs.im % n) == (r.re, r.im)
+                assert (r.re, r.im) == (re % n, im % n), (k, m)
+                rhs_re, rhs_im = _pow_exact(m, m, k)
+                first = (rhs_re % n, rhs_im % n) == (r.re, r.im)
                 assert first == (m in passed), (k, m)
                 moduli = [n]
-                for n, residue in _sieve_residues(k, m, row):
-                    moduli.append(n)
-                    assert residue == (lhs.re % n, lhs.im % n), (k, m, n)
-                assert moduli == [m - 1, m, *SIEVE_PRIMES]
+                for p in SIEVE_PRIMES:
+                    moduli.append(p)
+                    assert _sum_mod_prime(k, m, p) == (re % p, im % p), (k, m, p)
+                assert moduli == [m - 1, *SIEVE_PRIMES]
 
     def test_first_filter_leaves_only_powers_of_two(self):
         # the lemma of the module docstring, on the guard box: a pair with
         # m >= 3 passing filter (i) has m - 1 a power of 2
         passed = []
         for k in range(1, SEARCH_GUARD):
-            row = sigma_closed_row(k, SEARCH_GUARD - 1)
+            row = sigma_closed_row(k, SEARCH_GUARD - 2)
             survivors = _first_filter(row, _pow_exact(1, 1, k), SEARCH_GUARD)
             passed += [(k, m) for m in survivors]
         assert len(passed) == 4178
@@ -130,10 +118,39 @@ class TestSieve:
         for k, m in passed:
             assert m == 2 or (m - 1) & (m - 2) == 0, (k, m)
 
+    @pytest.mark.parametrize(
+        "box, chain",
+        [
+            ((SEARCH_GUARD, SEARCH_GUARD), [4178, 2518, 1111, 228, 52, 52, 7, 2, 1, 1]),
+            ((100, 60), [520, 318, 167, 33, 2, 2, 1, 1, 1, 1]),
+        ],
+    )
+    def test_filter_chain_is_pinned(self, monkeypatch, box, chain):
+        # the pairs that reach each prime of filter (ii): the first count is
+        # every survivor of filter (i), so a search that reads a wrong class
+        # row or skips a prime changes the chain, though its output is the
+        # same (2, 3) on every box
+        calls = dict.fromkeys(SIEVE_PRIMES, 0)
+
+        def recorder(k, m, p):
+            calls[p] += 1
+            return _sum_mod_prime(k, m, p)
+
+        monkeypatch.setattr(moser_search, "_sum_mod_prime", recorder)
+        assert [(s.k, s.m) for s in search_solutions(*box)] == [(2, 3)]
+        assert list(calls.values()) == chain
+
     def test_oracle_matches_direct_sums(self):
+        sums = list(exact_square_sweep(11, 7))
         for k in (1, 2, 7):
-            for m, lhs in exact_square_sums(k, 12):
-                assert lhs == sigma_exact(k, m - 1), (k, m)
+            for m in range(2, 12):
+                assert GaussianInt(*sums[m - 2][k - 1]) == sigma_exact(k, m - 1)
+        # a row kept from the sweep is left alone as the sweep advances
+        sweep = exact_square_sweep(3, 2)
+        first = next(sweep)
+        kept = list(first)
+        next(sweep)
+        assert first == kept == [(1, 1), (0, 2)]
 
     @pytest.mark.slow
     def test_matches_exact_oracle_on_150_box(self):
