@@ -14,10 +14,9 @@ So sigma_k(n) mod n depends on k only through its row class: whether k > 1
 is odd, and the row witness primes R(k) (`row_witness_primes`), the primes
 p = 3 (mod 4) with p^2 - 1 | k.  W(k, n) is then the p in R(k) with p | n and
 p^2 not dividing n, so a whole row needs no factorization:
-`sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is that key,
-and two callers evaluate each class row once: `cli.cmd_table`, which also
-renders it once, and `moser_search.search_solutions`, whose first filter
-reads sigma_k(m-1) off the row.
+`sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is that key:
+`cli.cmd_table` evaluates and renders each class row once, and
+`density.zero_row_density` reads its case from it.
 
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of

@@ -31,7 +31,7 @@ from .arith import (
     sieve_inert_primes,
     validate_prime_family,
 )
-from .closed_form import row_witness_primes
+from .closed_form import row_class
 
 # Largest family `union_density` accepts: the first 40 inert primes take about
 # 1 s on a 2-core x86 host (32k states at the widest step).
@@ -58,10 +58,11 @@ def zero_row_density(k: int) -> Fraction:
     3/4 for odd k > 1; otherwise the product of (p^2 - p + 1)/p^2 over
     primes p = 3 (mod 4) with p^2 - 1 | k (empty product = 1).
     """
+    odd, row_primes = row_class(k)
     out = Fraction(1)
-    for p in row_witness_primes(k):
+    for p in row_primes:
         out *= Fraction(p * p - p + 1, p * p)
-    return Fraction(3, 4) if k > 1 and k % 2 == 1 else out
+    return Fraction(3, 4) if odd else out
 
 
 def intersection_density(primes) -> Fraction:

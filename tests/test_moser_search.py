@@ -7,7 +7,13 @@ import pytest
 
 from gausspow import moser_search
 from gausspow.closed_form import sigma_closed_row
-from gausspow.gaussian import GaussianInt, _pow_exact, exact_square_sweep, sigma_exact
+from gausspow.gaussian import (
+    GaussianInt,
+    _pow_exact,
+    _pow_mod,
+    exact_square_sweep,
+    sigma_exact,
+)
 from gausspow.moser_search import (
     SEARCH_GUARD,
     SIEVE_PRIMES,
@@ -57,9 +63,8 @@ class TestSearch:
                 assert (lhs == rhs) == ((k, m) == (2, 3)), (k, m)
 
     def test_boxes_ending_past_a_power_of_two(self):
-        # checks the class row's length at the box edge: filter (i) reads its
-        # last cell, sigma_k(m_max - 2), only when m = m_max - 1 can pass,
-        # which by the lemma needs m_max - 2 a power of 2
+        # checks filter (i)'s edge: m = m_max - 1, the last m it may list,
+        # passes only when m_max - 2 is a power of 2
         for m_max in (3, 4, 6, 10, 18, 34):
             assert search_solutions(40, m_max) == oracle_search(40, m_max), m_max
 
@@ -87,36 +92,44 @@ class TestSieve:
     def test_each_filter_reduces_the_exact_sum(self):
         # every filter must compare sigma_exact(k, m-1) reduced by its
         # modulus with (m + mi)^k, or it could reject a true solution;
-        # filter (i) reads the class row, filter (ii) `_sum_mod_prime`
+        # filter (i) is the lemma's set, filter (ii) reads both sides off
+        # the table of (r + si)^k mod p
         sums = list(exact_square_sweep(38, 39))  # sums[m-2][k-1]
         for k in range(1, 40):
-            row = sigma_closed_row(k, 38)
-            passed = _first_filter(row, _pow_exact(1, 1, k), 40)
+            passed = _first_filter(k, 40)
+            tables = {
+                p: [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
+                for p in SIEVE_PRIMES
+            }
             for m in range(2, 40):
                 re, im = sums[m - 2][k - 1]
-                r, n = row[m - 2], m - 1
-                assert (r.re, r.im) == (re % n, im % n), (k, m)
                 rhs_re, rhs_im = _pow_exact(m, m, k)
-                first = (rhs_re % n, rhs_im % n) == (r.re, r.im)
+                n = m - 1
+                first = (rhs_re % n, rhs_im % n) == (re % n, im % n)
                 assert first == (m in passed), (k, m)
-                moduli = [n]
-                for p in SIEVE_PRIMES:
-                    moduli.append(p)
-                    assert _sum_mod_prime(k, m, p) == (re % p, im % p), (k, m, p)
-                assert moduli == [m - 1, *SIEVE_PRIMES]
+                for p, powers in tables.items():
+                    assert _sum_mod_prime(powers, m, p) == (re % p, im % p), (k, m, p)
+                    rhs = (rhs_re % p, rhs_im % p)
+                    assert powers[m % p][m % p] == rhs, (k, m, p)
 
-    def test_first_filter_leaves_only_powers_of_two(self):
-        # the lemma of the module docstring, on the guard box: a pair with
-        # m >= 3 passing filter (i) has m - 1 a power of 2
+    def test_first_filter_is_the_closed_form_reading(self):
+        # the lemma's set against filter (i) read off the paper's closed
+        # form, sigma_k(m-1) == (1 + i)^k mod m-1, on the guard box; which m
+        # pass does not depend on m_max, so this covers every accepted box
         passed = []
         for k in range(1, SEARCH_GUARD):
             row = sigma_closed_row(k, SEARCH_GUARD - 2)
-            survivors = _first_filter(row, _pow_exact(1, 1, k), SEARCH_GUARD)
-            passed += [(k, m) for m in survivors]
+            re, im = _pow_exact(1, 1, k)
+            oracle = [
+                m
+                for m in range(2, SEARCH_GUARD)
+                if (row[m - 2].re, row[m - 2].im) == (re % (m - 1), im % (m - 1))
+            ]
+            assert _first_filter(k, SEARCH_GUARD) == oracle, k
+            passed += [(k, m) for m in oracle]
         assert len(passed) == 4178
         assert sum(m == 2 for _, m in passed) == SEARCH_GUARD - 1
-        for k, m in passed:
-            assert m == 2 or (m - 1) & (m - 2) == 0, (k, m)
+        assert sum(m != 2 for _, m in passed) == 3679
 
     @pytest.mark.parametrize(
         "box, chain",
@@ -127,14 +140,14 @@ class TestSieve:
     )
     def test_filter_chain_is_pinned(self, monkeypatch, box, chain):
         # the pairs that reach each prime of filter (ii): the first count is
-        # every survivor of filter (i), so a search that reads a wrong class
-        # row or skips a prime changes the chain, though its output is the
+        # every survivor of filter (i), so a search that lists a wrong set
+        # there or skips a prime changes the chain, though its output is the
         # same (2, 3) on every box
         calls = dict.fromkeys(SIEVE_PRIMES, 0)
 
-        def recorder(k, m, p):
+        def recorder(powers, m, p):
             calls[p] += 1
-            return _sum_mod_prime(k, m, p)
+            return _sum_mod_prime(powers, m, p)
 
         monkeypatch.setattr(moser_search, "_sum_mod_prime", recorder)
         assert [(s.k, s.m) for s in search_solutions(*box)] == [(2, 3)]
