@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 verified mathematical discrepancy (verify), 2 usage.
 All numeric output is exact or directed-rounded: the density bracket prints
 the exact union density and rounds the tail and the endpoints outward.
 
-Each call builds only the parser path its arguments name: `main(argv)` adds
-the one subcommand (and `density` target) that `argv` starts with, and every
-one when it names none, so help and error text match the full parser.  The
-parser is built per call and never kept: a shell user starts one process per
+A valid command is parsed by its leaf parser alone: when `argv` starts with a
+full subcommand path (`sigma`, ..., `density nk`), `main(argv)` builds the one
+parser that path's subparser would be, with the same `prog`, and parses the
+rest with it.  Every other `argv`, and a leaf parse that leaves extras, goes
+to the full parser, so help and error text are the full parser's.  Parsers
+are built per call and never kept: a shell user starts one process per
 command, so a kept parser would save them nothing.
 """
 
@@ -265,47 +267,57 @@ COMMANDS = {
 }
 
 
-def _add_commands(parser, dest: str, table: dict, argv) -> None:
-    """Add `table`'s subparsers to `parser`: only the one `argv[0]` names,
-    if any, else all of them.
-
-    A lone subparser keeps the full choice list as its metavar, so usage
-    lines read as with all of them.  The metavar stays unset otherwise: it
-    would replace `dest` (`command`, `target`) in the "required" and
-    "invalid choice" errors, which only arise when no valid name is given.
-    """
-    name = argv[0] if argv else None
-    if name in table:
-        metavar = "{" + ",".join(table) + "}"
-        sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-        chosen, rest = {name: table[name]}, argv[1:]
-    else:
-        sub = parser.add_subparsers(dest=dest, required=True)
-        chosen, rest = table, ()
-    for cmd, (help_text, configure) in chosen.items():
+def _add_commands(parser, dest: str, table: dict) -> None:
+    """Add a subparser to `parser` for every entry of `table`."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for cmd, (help_text, configure) in table.items():
         p = sub.add_parser(cmd, help=help_text)
         if isinstance(configure, tuple):
-            _add_commands(p, *configure, rest)
+            _add_commands(p, *configure)
         else:
             configure(p)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for `argv`: only the subcommand (and `density` target) it
-    names, or every one when it names none.  `build_parser()` is the full
-    parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand and `density` target."""
     parser = argparse.ArgumentParser(
         prog="gausspow",
         description="Exact Gaussian-integer power sums mod n, congruence sets, "
         "densities, and equation search.",
     )
-    _add_commands(parser, "command", COMMANDS, argv)
+    _add_commands(parser, "command", COMMANDS)
     return parser
+
+
+def _parse_leaf(argv: list) -> argparse.Namespace | None:
+    """The namespace of `argv` parsed by the leaf parser of the full command
+    path it starts with, or None when it names no full path or the leaf
+    leaves extras.
+
+    The leaf is built as its subparser is (same `prog`), and the levels above
+    it hand everything after its name to it, so what it prints and parses is
+    the full parser's.  It sets no `command`, which no `cmd_*` reads.
+    """
+    table = COMMANDS
+    for depth, name in enumerate(argv, start=1):
+        if name not in table:
+            return None
+        configure = table[name][1]
+        if isinstance(configure, tuple):
+            table = configure[1]
+            continue
+        parser = argparse.ArgumentParser(prog=" ".join(["gausspow", *argv[:depth]]))
+        configure(parser)
+        args, extras = parser.parse_known_args(argv[depth:])
+        return None if extras else args
+    return None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_leaf(argv)
+    if args is None:  # the root and `density` levels' help and errors
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit-code contract, JSON round-trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -22,9 +23,20 @@ from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
 from gausspow.moser_search import SEARCH_GUARD
 
 
-def run_cli(capsys, *argv):
+def full_parser_main(argv):
+    """`main` with every command line parsed by the full parser: the oracle
+    for what `main` prints and returns."""
+    args = build_parser().parse_args(argv)
     try:
-        code = main(list(argv))
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_cli(capsys, *argv, entry=main):
+    try:
+        code = entry(list(argv))
     except SystemExit as exc:  # argparse's usage errors and --help
         code = exc.code
     captured = capsys.readouterr()
@@ -330,9 +342,21 @@ class TestWitnessAndSearch:
         assert exc.value.code == 2
 
 
+# Usage errors that name a full command path and leave extras after its
+# options: the leaf parser takes the path, and the full parser the error.
+LEAF_EXTRAS_ARGVS = [
+    ["sigma", "--k", "1", "--n", "2", "--bogus"],
+    ["sigma", "--k", "1", "--n", "2", "extra"],
+    ["primes", "--count", "4", "sigma"],
+    ["density", "nk", "--k", "8", "extra"],
+    ["density", "m", "--primes", "4", "--tail-limit", "100", "extra"],
+    ["em-search", "--kmax", "5", "--mmax", "5", "--workers", "2"],
+]
+
 # Command lines whose exit code, stdout and stderr must not depend on whether
-# `main` builds one parser path or all of them: the root and every help
-# screen, usage errors before, inside and after a command, and a few runs.
+# `main` parses with a leaf parser or the full one: the root and every help
+# screen, usage errors before, inside and after a command, argparse's edge
+# cases (`=`, `--`, repeats, abbreviations, negative numbers) and a few runs.
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["sig"], ["--k", "1", "sigma"],
     ["-h", "sigma"],
@@ -345,13 +369,18 @@ PARSER_ARGVS = [
     ["sigma", "--k", "1", "--n", "2", "--method", "fast"],
     ["table", "--kmax", "2", "--nmax", "2", "--format", "xml"],
     ["density", "m", "--format", "csv"],
-    ["sigma", "--k", "1", "--n", "2", "--bogus"],
-    ["sigma", "--k", "1", "--n", "2", "extra"],
-    ["primes", "--count", "4", "sigma"],
-    ["density", "nk", "--k", "8", "extra"],
-    ["em-search", "--kmax", "5", "--mmax", "5", "--workers", "2"],
+    *LEAF_EXTRAS_ARGVS,
     ["sigma", "--k", "3", "--n", "10"], ["sigma", "--k", "0", "--n", "5"],
     ["density", "nk", "--k", "8"], ["witness", "--n", "24"],
+    ["sigma", "--k=3", "--n=10"],
+    ["sigma", "--", "--k", "3", "--n", "10"],
+    ["sigma", "--k", "3", "--n", "10", "--"],
+    ["--", "sigma", "--k", "3", "--n", "10"],
+    ["sigma", "--k", "2", "--k", "3", "--n", "10"],
+    ["sigma", "--he"], ["density", "nk", "--he"],
+    ["table", "--kmax", "2", "--nmax", "2", "--f", "csv"],
+    ["sigma", "-k", "3", "--n", "10"],
+    ["sigma", "--k", "3", "--n", "-5"],
 ]
 
 # One valid command line per subcommand and per `density` target.
@@ -360,7 +389,7 @@ VALID_ARGVS = [
     ["table", "--kmax", "3", "--nmax", "4", "--format", "csv"],
     ["verify", "--kmax", "2", "--nmax", "2"],
     ["density", "nk", "--k", "8", "--digits", "5"],
-    ["density", "m", "--primes", "4", "--tail-limit", "100"],
+    ["density", "m", "--primes", "4", "--tail-limit", "1000000"],
     ["witness", "--n", "24"],
     ["em-search", "--kmax", "5", "--mmax", "5"],
     ["primes", "--count", "4", "--format", "json"],
@@ -377,35 +406,59 @@ class TestParserPaths:
     def test_output_matches_full_parser(self, capsys, monkeypatch, columns, argv):
         monkeypatch.setenv("COLUMNS", columns)
         got = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_parser())
-        assert got == run_cli(capsys, *argv)
+        assert got == run_cli(capsys, *argv, entry=full_parser_main)
 
     @pytest.mark.parametrize("argv", VALID_ARGVS, ids=argv_id)
     def test_namespace_matches_full_parser(self, argv):
-        assert vars(build_parser(argv).parse_args(argv)) == vars(
-            build_parser().parse_args(argv)
-        )
+        full = vars(build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(cli._parse_leaf(argv)) == full
 
-    def test_named_path_is_built_alone(self):
-        with pytest.raises(SystemExit):
-            build_parser(["sigma"]).parse_args(["witness", "--n", "24"])
-        with pytest.raises(SystemExit):
-            build_parser(["density", "nk"]).parse_args(["density", "m"])
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the parsers `main` builds: every `ArgumentParser`, and
+        the calls of `build_parser`."""
+        counts = {"parsers": 0, "build_parser": 0}
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["parsers"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_build_parser():
+            counts["build_parser"] += 1
+            return build_parser()
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        return counts
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=argv_id)
+    def test_valid_command_builds_its_leaf_alone(self, capsys, built, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert built == {"parsers": 1, "build_parser": 0}
+
+    @pytest.mark.parametrize("argv", LEAF_EXTRAS_ARGVS, ids=argv_id)
+    def test_leaf_extras_fall_back_to_full_parser(self, capsys, built, argv):
+        assert run_cli(capsys, *argv)[0] == 2
+        # the leaf, then the full tree: root, subcommands and `density` targets
+        full_tree = 1 + len(COMMANDS) + len(cli.DENSITY_TARGETS)
+        assert built == {"parsers": 1 + full_tree, "build_parser": 1}
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["sigma", "--k", "3", "--n", "10"]
         _, expected, _ = run_cli(capsys, *argv)
-        built_for = []
+        parsed, parse_leaf = [], cli._parse_leaf
 
-        def spy(argv=()):
-            built_for.append(list(argv))
-            return build_parser(argv)
+        def spy(argv):
+            parsed.append(argv)
+            return parse_leaf(argv)
 
-        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(cli, "_parse_leaf", spy)
         monkeypatch.setattr(sys, "argv", ["gausspow", *argv])
         assert main() == 0 and capsys.readouterr().out == expected
         assert main(tuple(argv)) == 0 and capsys.readouterr().out == expected
-        assert built_for == [argv, argv]
+        assert parsed == [argv, argv]
 
 
 class TestImport:
