@@ -37,13 +37,15 @@ EPSILON_LEGEND = "ϵ := (1 + i)"
 # expansion rows add kmax * nmax^2 / 2 modular powers and kmax^2 / 4 exact
 # binomials per n.  The slowest accepted inputs lie near kmax = 30-48 (30 x 75,
 # 48 x 52): about 0.15 s in the three routes on a 2-core x86 host, 0.1 s of it
-# the brute sweep, and 0.2-0.25 s for the whole command.  From kmax = 80 up the
+# the brute sweep, and 0.22-0.24 s for the whole command, about 0.09 s of that
+# interpreter start and the package import.  From kmax = 80 up the
 # expansion rows dominate; at kmax = 1 the sweep to 291 takes about 0.05 s.
 MAX_VERIFY_WORK = 25 * 10**6
 
 # Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,
-# so 500 x 500 takes about 0.01 s in `cmd_table` in any format (about 0.2 s
-# for the whole command, mostly interpreter start) on a 2-core x86 host.
+# so 500 x 500 takes about 0.01 s in `cmd_table` in any format (about 0.11 s
+# for the whole command, 0.09 s of it interpreter start and the package
+# import) on a 2-core x86 host.
 MAX_TABLE_SIDE = 500
 
 

@@ -22,7 +22,6 @@ denominator, so every endpoint is exact or rounded outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,6 +31,7 @@ from .arith import (
     validate_prime_family,
 )
 from .closed_form import row_class
+from .gaussian import Record
 
 # Largest family `union_density` accepts: the first 40 inert primes take about
 # 1 s on a 2-core x86 host (32k states at the widest step).
@@ -175,27 +175,31 @@ def tail_bound(p_min: int, p_limit: int) -> Fraction:
 
 def rounded_tail(p_min: int, p_limit: int) -> Fraction:
     """Upper bound for `tail_bound`: each term rounded up to a multiple of
-    1/TAIL_SCALE, so the excess is below (number of terms) / TAIL_SCALE."""
-    return Fraction(
-        sum(-(-TAIL_SCALE // (p * p * (p + 1))) for p in _tail_primes(p_min, p_limit)),
-        TAIL_SCALE,
-    )
+    1/TAIL_SCALE, so the excess is below (number of terms) / TAIL_SCALE.
+    ceil(S/d) = (S-1)//d + 1 for S, d >= 1, the +1s summed as len(primes)."""
+    primes = _tail_primes(p_min, p_limit)
+    ceilings = sum((TAIL_SCALE - 1) // (p * p * (p + 1)) for p in primes) + len(primes)
+    return Fraction(ceilings, TAIL_SCALE)
 
 
-@dataclass(frozen=True)
-class DiagonalBracket:
+class DiagonalBracket(Record):
     """Exact bracket [lower, upper] for the density of n dividing sigma_n(n),
-    with its ingredients."""
+    with its ingredients: `union`, the exact union density over the primes
+    used, and `tail`, the tail sum bound beyond the largest prime used."""
 
-    lower: Fraction
-    upper: Fraction
-    union: Fraction  # exact union density over the primes used
-    tail: Fraction  # tail sum bound beyond the largest prime used
-    primes_used: tuple[int, ...]
+    __slots__ = __match_args__ = ("lower", "upper", "union", "tail", "primes_used")
 
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= 1:
+    def __init__(
+        self,
+        lower: Fraction,
+        upper: Fraction,
+        union: Fraction,
+        tail: Fraction,
+        primes_used: tuple[int, ...],
+    ):
+        if not 0 <= lower <= upper <= 1:
             raise ValueError("bracket must satisfy 0 <= lower <= upper <= 1")
+        self._set(lower, upper, union, tail, primes_used)
 
 
 def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:

@@ -5,6 +5,8 @@ parts in [0, n)); `GaussianInt` is an exact Gaussian integer on Python's
 arbitrary-precision ints.  Both are values the routes return and compare, not
 rings: the power loops `_pow_mod` and `_pow_exact` work on plain (re, im)
 pairs, and `GaussianInt ** k` is the one operator, for the search.
+`GaussianInt` and the package's other result records build on `Record`, a
+frozen `__slots__` base that gives them value equality, hash and repr.
 `sigma_brute` evaluates the defining double sum sum over 1 <= a, b <= n of
 (a+bi)^k literally and is the ground-truth oracle everything faster is
 measured against.
@@ -20,7 +22,6 @@ up to n_max at once and is still the literal definition.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 # Largest inputs `sigma_brute` accepts.  It takes n^2 powers of bit_length(k)
 # squarings each, and once k spans many machine words each halving of k costs
@@ -30,12 +31,49 @@ MAX_BRUTE_WORK = 10**6  # n^2 * bit_length(k)
 MAX_BRUTE_K_BITS = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianInt:
+class Record:
+    """Frozen value whose fields are its `__match_args__`, stored in slots by
+    the subclass's `__init__` through `_set`: equal and hashed by its fields
+    within one class, printed as `Name(field=value, ...)`, and rebuilt through
+    `__init__` when copied or unpickled."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class GaussianInt(Record):
     """Exact Gaussian integer a + bi."""
 
-    re: int = 0
-    im: int = 0
+    __slots__ = __match_args__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self._set(re, im)
 
     def __pow__(self, k: int) -> "GaussianInt":
         if k < 0:

@@ -39,9 +39,7 @@ exact comparison decides every survivor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gaussian import GaussianInt, _pow_mod, sigma_exact
+from .gaussian import GaussianInt, Record, _pow_mod, sigma_exact
 
 SEARCH_GUARD = 500
 
@@ -50,13 +48,13 @@ SEARCH_GUARD = 500
 SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
+class Solution(Record):
     """A pair (k, m) satisfying the equation, with the common exact value."""
 
-    k: int
-    m: int
-    value: GaussianInt
+    __slots__ = __match_args__ = ("k", "m", "value")
+
+    def __init__(self, k: int, m: int, value: GaussianInt):
+        self._set(k, m, value)
 
 
 def _sum_mod_prime(

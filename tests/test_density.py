@@ -307,6 +307,14 @@ class TestTailBound:
         exact = tail_bound(p_min, p_limit)
         assert exact <= rounded_tail(p_min, p_limit) <= exact + Fraction(count, TAIL_SCALE)
 
+    @pytest.mark.parametrize(
+        "p_min, p_limit", [(3, 4), (3, 7), (263, 10**4), (9000, 9100), (10**5, 2 * 10**5)]
+    )
+    def test_rounded_tail_is_the_sum_of_ceilings(self, p_min, p_limit):
+        primes = [p for p in inert_primes_up_to(p_limit) if p > p_min]
+        ceilings = sum(-(-TAIL_SCALE // (p * p * (p + 1))) for p in primes)
+        assert rounded_tail(p_min, p_limit) == Fraction(ceilings, TAIL_SCALE)
+
     def test_merge_sum_helper(self):
         terms = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(2, 9)]
         assert _merge_sum(terms) == sum(terms)

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import gausspow
@@ -56,7 +58,32 @@ def test_removed_members_are_gone():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
     assert not hasattr(gaussian, "_mul_mod")
-    assert "__str__" not in vars(gaussian.GaussianInt)  # the dataclass repr stays
+    # str falls back to the field repr, GaussianInt(re=..., im=...)
+    assert "__str__" not in vars(gaussian.GaussianInt)
+
+
+# Modules that `import gausspow.cli` must not load: `dataclasses` pulls in the
+# next four, and `typing` is no dependency either.  Each costs start-up time
+# on every shell command.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps `site` (and any .pth file it runs) out; only the modules the
+    # import itself adds are checked, since some interpreters preload a few
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"sys.path.insert(0, {str(src)!r}); import gausspow.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    loaded = set(
+        subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        ).stdout.split()
+    )
+    assert "gausspow.cli" in loaded
+    assert not loaded & set(HEAVY_MODULES), sorted(loaded & set(HEAVY_MODULES))
 
 
 def _perfbench_spans():
