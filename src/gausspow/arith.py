@@ -1,9 +1,10 @@
-"""Shared integer/rational substrate: primes, factorization, CRT, exact decimals.
+"""Shared integer/rational substrate: primes, factorization, exact decimals.
 
-Primality is deterministic Miller-Rabin, and factorization is trial division
-followed by Brent's rho, so no n below 2^63 takes more than about 0.1 s.
-Everything here is exact.  Rationals are `fractions.Fraction` (always reduced,
-positive denominator); floating point never enters any code path in this module.
+Primality is deterministic Miller-Rabin, and factorization divides out the
+twelve Miller-Rabin bases and splits the rest by Brent's rho, so no n below
+2^63 takes more than about 0.1 s.  Everything here is exact.  Rationals are
+`fractions.Fraction` (always reduced, positive denominator); floating point
+never enters any code path in this module.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from math import gcd, isqrt
 
 MAX_FACTOR_INPUT = 2**63 - 1
 
-# `factorize` trial-divides by the primes below this, then hands a cofactor
-# above TRIAL_LIMIT^2 to Brent's rho.  So every n below 10^6, which covers
-# all `table` and `verify` cells, is factored by trial division alone.
-TRIAL_LIMIT = 1000
-
 # The first twelve primes: `is_prime` trial-divides by them and uses them as
 # Miller-Rabin bases, which together are exact below the least composite that
 # is a strong pseudoprime to all twelve, 318665857834031151167461 (Sorenson
-# and Webster 2017).
+# and Webster 2017).  `factorize` divides them out before Brent's rho.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_PRIME_INPUT = 318665857834031151167460
 
@@ -148,38 +144,23 @@ def _rho_divisor(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Complete prime factorization of n as ascending (prime, exponent) pairs.
 
-    n = 1 gives the empty list; inputs are restricted to [1, 2^63).  Primes
-    below TRIAL_LIMIT are divided out by 6k +- 1 trial division, which alone
-    factors every n below TRIAL_LIMIT^2.  A cofactor left above that has
-    only prime factors above TRIAL_LIMIT, so its split by `is_prime` and
-    Brent's rho is sorted and appended to an already ascending list.
+    n = 1 gives the empty list; inputs are restricted to [1, 2^63).  The
+    primes in _MR_BASES (2..37) are divided out first.  What is left has
+    only prime factors above 37, so its split by `is_prime` and Brent's rho
+    is sorted and appended to an already ascending list.
     """
     if n < 1 or n > MAX_FACTOR_INPUT:
         raise ValueError(f"factorize requires 1 <= n < 2**63, got {n}")
     pairs = []
-    for p in (2, 3):
+    for p in _MR_BASES:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             pairs.append((p, e))
-    f = 5
-    while f * f <= n and f < TRIAL_LIMIT:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                pairs.append((p, e))
-        f += 6
-    if f * f > n:
-        if n > 1:
-            pairs.append((n, 1))
-        return pairs
     exponents: dict[int, int] = {}
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
@@ -188,19 +169,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
             d = _rho_divisor(m)
             stack += (d, m // d)
     return pairs + sorted(exponents.items())
-
-
-def crt(residues: list[tuple[int, int]]) -> int:
-    """Solve a system of congruences (residue, modulus) with coprime moduli.
-
-    A modulus that shares a factor with an earlier one leaves the product of
-    the earlier moduli without an inverse, and `pow` raises ValueError.
-    """
-    r, m = 0, 1
-    for ri, mi in residues:
-        r += (ri - r) * pow(m, -1, mi) % mi * m
-        m *= mi
-    return r
 
 
 def decimal_render(q: Fraction, digits: int, direction: str = "down") -> str:

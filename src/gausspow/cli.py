@@ -140,11 +140,13 @@ def _print_fraction(q: Fraction, digits: int, fmt: str, label: str) -> None:
         print(f"= {decimal} (truncated)")
 
 
-def cmd_density(args) -> int:
-    if args.target == "nk":
-        q = zero_row_density(args.k)
-        _print_fraction(q, args.digits, args.format, "density")
-        return 0
+def cmd_density_nk(args) -> int:
+    q = zero_row_density(args.k)
+    _print_fraction(q, args.digits, args.format, "density")
+    return 0
+
+
+def cmd_density_m(args) -> int:
     result = diagonal_bracket(args.primes, args.tail_limit)
     ell, tail = result.union, result.tail
     lo, hi = result.lower, result.upper
@@ -222,7 +224,7 @@ def _configure_density_nk(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", type=int, default=19)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_density, target="nk")
+    p.set_defaults(func=cmd_density_nk)
 
 
 def _configure_density_m(p) -> None:
@@ -230,7 +232,7 @@ def _configure_density_m(p) -> None:
     p.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
     p.add_argument("--digits", type=int, default=19)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_density, target="m")
+    p.set_defaults(func=cmd_density_m)
 
 
 DENSITY_TARGETS = {
@@ -298,19 +300,22 @@ def _parse_leaf(argv: list) -> argparse.Namespace | None:
 
     The leaf is built as its subparser is (same `prog`), and the levels above
     it hand everything after its name to it, so what it prints and parses is
-    the full parser's.  It sets no `command`, which no `cmd_*` reads.
+    the full parser's.  It sets `target` for a `density` path, as the full
+    parser does, but no `command`; no `cmd_*` reads either.
     """
-    table = COMMANDS
+    table, dest, namespace = COMMANDS, None, argparse.Namespace()
     for depth, name in enumerate(argv, start=1):
         if name not in table:
             return None
+        if dest:  # the choice made at a level below the root
+            setattr(namespace, dest, name)
         configure = table[name][1]
         if isinstance(configure, tuple):
-            table = configure[1]
+            dest, table = configure
             continue
         parser = argparse.ArgumentParser(prog=" ".join(["gausspow", *argv[:depth]]))
         configure(parser)
-        args, extras = parser.parse_known_args(argv[depth:])
+        args, extras = parser.parse_known_args(argv[depth:], namespace)
         return None if extras else args
     return None
 

@@ -99,9 +99,14 @@ def sigma_closed_row(k: int, n_max: int) -> list[GaussianResidue]:
         raise ValueError("n_max must be >= 1")
     row_primes = row_witness_primes(k)  # checks k
     return [
-        _closed_cell(k, n, [p for p in row_primes if n % p == 0 and n % (p * p)])
+        _closed_cell(k, n, _exact_divisors(row_primes, n))
         for n in range(1, n_max + 1)
     ]
+
+
+def _exact_divisors(primes: Iterable[int], n: int) -> list[int]:
+    """The p in `primes` with p || n: W(k, n) when `primes` is R(k)."""
+    return [p for p in primes if n % p == 0 and n % (p * p)]
 
 
 def _closed_cell(k: int, n: int, witnesses: Iterable[int]) -> GaussianResidue:

@@ -25,7 +25,9 @@ predicate of their own: the tests assert them against the ones here.
 from __future__ import annotations
 
 from .arith import is_prime
-from .closed_form import is_half_epsilon_case, row_witness_primes, witness_primes
+from .closed_form import (
+    _exact_divisors, is_half_epsilon_case, row_witness_primes, witness_primes,
+)
 
 
 def divides_sigma(k: int, n: int) -> bool:
@@ -40,15 +42,15 @@ def divides_sigma(k: int, n: int) -> bool:
 def outside_row_zeros(n: int, k: int) -> bool:
     """n outside the zero set of row k, via the progression-union description.
 
-    For even k (or k = 1) the complement is the union over qualifying p of
-    the multiples of p that are not multiples of p^2; for odd k > 1 it is
-    exactly the residue class 2 mod 4.
+    The complement is the union over the row witness primes p of the
+    multiples of p that are not multiples of p^2; for odd k > 1 there are
+    none, and it is exactly the residue class 2 mod 4.  k is held to
+    [1, MAX_ROW_K] like `row_witness_primes`.
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    if k > 1 and k % 2 == 1:
-        return n % 4 == 2
-    return any(n % p == 0 and n % (p * p) != 0 for p in row_witness_primes(k))
+    row_primes = row_witness_primes(k)
+    return is_half_epsilon_case(k, n) or bool(_exact_divisors(row_primes, n))
 
 
 def diagonal_witness(n: int) -> int | None:

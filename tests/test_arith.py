@@ -1,4 +1,4 @@
-"""Arithmetic substrate: primes, factorization, CRT, directed decimals."""
+"""Arithmetic substrate: primes, factorization, directed decimals."""
 
 from fractions import Fraction
 from math import prod
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from gausspow.arith import (
     MAX_INERT_COUNT,
     MAX_PRIME_INPUT,
-    TRIAL_LIMIT,
     _inert_prime_bound,
-    crt,
     decimal_render,
     factorize,
     inert_primes_up_to,
@@ -70,9 +68,10 @@ def oracle_next_prime(n):
 
 
 # Primes used to build inputs near 2^63, each small enough for the oracle to
-# confirm: 997 and 1009 straddle TRIAL_LIMIT, 2097143 is the largest prime
-# whose cube is below 2^63, 3037000453 * 3037000493 is a balanced semiprime
-# just below 2^63, and 999999999989 is the largest prime below 10^12.
+# confirm: 997 and 1009 are the primes either side of 1000, 2097143 is the
+# largest prime whose cube is below 2^63, 3037000453 * 3037000493 is a
+# balanced semiprime just below 2^63, and 999999999989 is the largest prime
+# below 10^12.
 ORACLE_PRIMES = (
     997, 1009, 1000003, 2097143, 2147483647, 3037000453, 3037000493,
     4294967291, 999999999989,
@@ -145,13 +144,31 @@ class TestFactorize:
         assert prod(p**e for p, e in pairs) == n
         assert all(is_prime(p) for p, _ in pairs)
 
+    def test_matches_trial_division_oracle_below_1e5(self):
+        for n in range(1, 10**5):
+            assert factorize(n) == trial_factorize(n), n
+
     @given(st.integers(min_value=1, max_value=10**12))
     def test_matches_trial_division_oracle(self, n):
         assert factorize(n) == trial_factorize(n)
 
+    def test_prime_powers_with_small_cofactors(self):
+        # every p^e below 2^63 for p < 3000: alone, next to one or two of the
+        # twelve Miller-Rabin primes (2, 3, 35), and next to two primes above
+        # them (1763 = 41 * 43); the powers of primes above 37 are where
+        # Brent's rho overshoots to n, is replayed, and moves on to the next c
+        cofactors = {c: trial_factorize(c) for c in (1, 2, 3, 35, 1763)}
+        for p in filter(oracle_is_prime, range(2, 3000)):
+            for c, c_pairs in cofactors.items():
+                e, n = 1, c * p
+                while n < 2**63:
+                    expected = dict(c_pairs)
+                    expected[p] = expected.get(p, 0) + e
+                    assert factorize(n) == sorted(expected.items()), (c, p, e)
+                    e, n = e + 1, n * p
+
     def test_structured_inputs_near_2_63(self):
         assert all(oracle_is_prime(p) for p in ORACLE_PRIMES)
-        assert 997 < TRIAL_LIMIT < 1009
         p, q = 3037000453, 3037000493
         cases = [
             [(p, 1), (q, 1)],
@@ -209,30 +226,6 @@ class TestIsPrime:
         assert not is_prime(MAX_PRIME_INPUT)
         with pytest.raises(ValueError):
             is_prime(MAX_PRIME_INPUT + 1)
-
-
-class TestCrt:
-    def test_brute_search_agreement(self):
-        systems = [
-            [(1, 2), (1, 3)],
-            [(3, 5), (1, 2)],
-            [(0, 4), (2, 3), (3, 5)],
-            [(7, 8), (2, 9), (4, 5), (6, 7)],
-        ]
-        for residues in systems:
-            m = prod(mod for _, mod in residues)
-            x = crt(residues)
-            assert 0 <= x < m
-            matches = [
-                v
-                for v in range(m)
-                if all(v % mod == r % mod for r, mod in residues)
-            ]
-            assert matches == [x]
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            crt([(1, 4), (3, 6)])
 
 
 class TestDecimalRender:

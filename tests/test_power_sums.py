@@ -1,4 +1,4 @@
-"""Classical power sums mod n: naive summation vs per-prime-power CRT route."""
+"""Classical power sums mod n: naive summation vs von Staudt's sum."""
 
 import pytest
 
@@ -37,6 +37,16 @@ class TestClosed:
         for n in range(1, 201):
             for k in range(1, 41):
                 assert s_mod_closed(k, n) == s_mod_naive(k, n), (k, n)
+
+    def test_matches_naive_on_small_prime_powers(self):
+        # the 2-part of von Staudt's sum drops out only when 4 | n and k > 1
+        # is odd; each p^e here has one prime, so one term decides the sum
+        for p in (2, 3, 5, 7):
+            n = p
+            while n <= 4096:
+                for k in range(1, 49):
+                    assert s_mod_closed(k, n) == s_mod_naive(k, n), (k, n)
+                n *= p
 
 
 class TestCarlitzParity:
