@@ -8,21 +8,7 @@ reduced mod p by Lucas decomposition so the sums stay cheap for large k.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .arith import is_prime
-
-
-@lru_cache(maxsize=64)
-def _factorial_tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
-    inv = [1] * p
-    inv[p - 1] = pow(fact[p - 1], p - 2, p)
-    for i in range(p - 1, 0, -1):
-        inv[i - 1] = inv[i] * i % p
-    return tuple(fact), tuple(inv)
 
 
 def binom_mod_p(n: int, m: int, p: int) -> int:
@@ -31,14 +17,14 @@ def binom_mod_p(n: int, m: int, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if m < 0 or m > n:
         return 0
-    fact, inv = _factorial_tables(p)
     out = 1
-    while n or m:
+    while m:  # a zero digit of m contributes C(a, 0) = 1
         a, n = n % p, n // p
         b, m = m % p, m // p
         if b > a:
             return 0
-        out = out * fact[a] % p * inv[b] % p * inv[a - b] % p
+        for i in range(min(b, a - b)):  # C(a, b) = prod (a - i)/(i + 1)
+            out = out * (a - i) * pow(i + 1, -1, p) % p
     return out
 
 

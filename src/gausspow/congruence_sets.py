@@ -13,9 +13,9 @@ they can be cross-checked against the evaluation routes.  The complement of
 a column's zero set is `not divides_sigma`; the row complement keeps its own
 progression-union test, `outside_row_zeros`.  The diagonal is the cell
 predicate `witness_primes(n, n)`: p || n and p^2 - 1 | n together say
-p^3 - p | n, since p and p^2 - 1 are coprime.  `diagonal_nonzero_up_to`
-lists the same complement independently, by walking the progressions of
-multiples of p^3 - p.
+p^3 - p | n, since p and p^2 - 1 are coprime.  The same complement, as a
+union of progressions U_p of multiples of p^3 - p, is counted independently
+by `density.sieve_complement_count`.
 
 The paper's corollaries of these descriptions (no multiple of 8 is a zero
 exponent of a column n with 3 || n; a diagonal witness forces 24 | n) get no
@@ -24,7 +24,6 @@ predicate of their own: the tests assert them against the ones here.
 
 from __future__ import annotations
 
-from .arith import is_prime
 from .closed_form import (
     _exact_divisors, is_half_epsilon_case, row_witness_primes, witness_primes,
 )
@@ -57,18 +56,3 @@ def diagonal_witness(n: int) -> int | None:
     """Smallest prime p = 3 (mod 4) with p^3 - p | n and p^2 not dividing n,
     or None when there is none, that is when sigma_n(n) = 0 (mod n)."""
     return min(witness_primes(n, n), default=None)
-
-
-def diagonal_nonzero_up_to(limit: int) -> list[int]:
-    """All n <= limit whose diagonal entry sigma_n(n) is nonzero mod n.
-
-    Walks the witness progressions directly instead of testing every n:
-    candidates are multiples of p^3 - p not killed by p^2.
-    """
-    hits = set()
-    p = 3
-    while (u := p * p * p - p) <= limit:
-        if is_prime(p):
-            hits.update(m for m in range(u, limit + 1, u) if m % (p * p))
-        p += 4
-    return sorted(hits)

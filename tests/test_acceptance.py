@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from gausspow.arith import decimal_render, sieve_inert_primes
+from gausspow.arith import decimal_render, inert_primes_up_to, sieve_inert_primes
 from gausspow.binomial_sums import dilcher_sum, hermite_sum, signed_lacunary_sum
 from gausspow.closed_form import sigma_closed, sigma_expansion
-from gausspow.congruence_sets import diagonal_nonzero_up_to, diagonal_witness
+from gausspow.congruence_sets import diagonal_witness
 from gausspow.density import (
     diagonal_bracket,
     digit_count,
@@ -191,10 +191,16 @@ def test_criterion_08_sieve_oracle(bracket30):
 def test_criterion_09_witness_structure():
     with criterion("criterion 9: witnessed n below 1e5 are multiples of 24"):
         start = time.perf_counter()
-        witnessed = [n for n in range(1, 10**5 + 1) if diagonal_witness(n) is not None]
-        assert witnessed[0] == 24
+        limit = 10**5
+        witnessed = {n: p for n in range(1, limit + 1) if (p := diagonal_witness(n))}
+        assert min(witnessed) == 24
         assert all(n % 24 == 0 for n in witnessed)
-        assert witnessed == diagonal_nonzero_up_to(10**5)
+        # each witnessed n lies in its own witness's U_p, and the progression
+        # sieve counts as many n in the union of the U_p: the two sets are equal
+        fam = [p for p in inert_primes_up_to(limit) if p**3 - p <= limit]
+        for n, p in witnessed.items():
+            assert p in fam and n % (p**3 - p) == 0 and n % (p * p), n
+        assert sieve_complement_count(limit, fam) == len(witnessed)
         assert time.perf_counter() - start < 5.0
 
 

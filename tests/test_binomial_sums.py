@@ -1,5 +1,6 @@
 """Lacunary binomial congruences, checked against exact big-integer binomials."""
 
+import random
 from math import comb
 
 import pytest
@@ -35,6 +36,25 @@ class TestLucas:
     )
     def test_matches_exact_binomial(self, n, m, p):
         assert binom_mod_p(n, m, p) == comb(n, m) % p
+
+    @pytest.mark.parametrize("p, spread", [(10007, 3 * 10007), (1000003, 3000)])
+    def test_two_digits_at_large_p(self, p, spread):
+        # n has two base-p digits; the exact binomial stays cheap because
+        # one of m and n - m is below `spread`, and m = n - r spans both digits
+        rng = random.Random(p)
+        for _ in range(20):
+            n = rng.randrange(p, p * p)
+            r = rng.randrange(spread)
+            for m in (r, n - r):
+                assert binom_mod_p(n, m, p) == comb(n, r) % p, (n, m)
+
+    @pytest.mark.parametrize("p", [10**9 + 7, 2**61 - 1])
+    def test_one_digit_at_huge_p(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            n = rng.randrange(10**4)
+            m = rng.randrange(10**4)
+            assert binom_mod_p(n, m, p) == comb(n, m) % p, (n, m)
 
 
 def hermite_oracle(k, p):

@@ -1,12 +1,13 @@
 """Closed-form sigma evaluation: witness set, case split, oracle agreement."""
 
+import random
 from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausspow.arith import MAX_FACTOR_INPUT, factorize
+from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
     MAX_EXPANSION_N,
@@ -20,6 +21,18 @@ from gausspow.closed_form import (
     witness_primes,
 )
 from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
+
+
+def walked_row_witness_primes(k):
+    """R(k) by trying every p = 3, 7, 11, ... with p^2 <= k + 1 for p^2 - 1 | k
+    and primality, with no prime sieve."""
+    if k % 8:
+        return ()
+    return tuple(
+        p
+        for p in range(3, isqrt(k + 1) + 1, 4)
+        if k % (p * p - 1) == 0 and is_prime(p)
+    )
 
 
 class TestWitnessPrimes:
@@ -60,6 +73,14 @@ class TestWitnessPrimes:
             )
             assert row_witness_primes(k) == direct, k
         assert row_witness_primes(2880) == (3, 7, 11, 19, 31)
+
+    def test_row_witnesses_match_the_walk(self):
+        assert row_witness_primes(999999997920) == (3, 7, 11, 19, 23, 43, 71)
+        rng = random.Random(7920)
+        ks = [10**12, 999999997920]
+        ks += [7920 * rng.randrange(1, MAX_ROW_K // 7920 + 1) for _ in range(20)]
+        for k in ks:
+            assert row_witness_primes(k) == walked_row_witness_primes(k), k
 
     def test_row_witness_guards(self):
         assert row_witness_primes(MAX_ROW_K) == (3,)

@@ -2,14 +2,16 @@
 
 import random
 
+import pytest
+
 from gausspow.arith import inert_primes_up_to, is_prime
 from gausspow.closed_form import sigma_closed
 from gausspow.congruence_sets import (
-    diagonal_nonzero_up_to,
     diagonal_witness,
     divides_sigma,
     outside_row_zeros,
 )
+from gausspow.density import sieve_complement_count
 from gausspow.gaussian import sigma_brute_sweep
 
 
@@ -144,12 +146,23 @@ class TestStructure24:
         assert diagonal_witness(25) is None  # vacuous
 
     def test_smallest_witnessed_is_24(self):
-        hits = diagonal_nonzero_up_to(10**4)
-        assert hits[0] == 24
-        assert all(n % 24 == 0 for n in hits)
-        # the progression-walk agrees with the per-n witness test
-        direct = [n for n in range(1, 10**4 + 1) if diagonal_witness(n)]
-        assert hits == direct
+        limit = 10**4
+        witnessed = {n: p for n in range(1, limit + 1) if (p := diagonal_witness(n))}
+        assert min(witnessed) == 24
+        assert all(n % 24 == 0 for n in witnessed)
+        # the per-n witness agrees with the progression sieve: each witnessed n
+        # lies in its witness's U_p, and the sieve counts as many n in the union
+        fam = [p for p in inert_primes_up_to(limit) if p**3 - p <= limit]
+        for n, p in witnessed.items():
+            assert p in fam and n % (p**3 - p) == 0 and n % (p * p), n
+        assert sieve_complement_count(limit, fam) == len(witnessed)
+
+    @pytest.mark.parametrize("limit", [23, 24, 71, 72, 167, 168, 10**4])
+    def test_sieve_counts_the_witnessed(self, limit):
+        # U_3 starts at 24, and 72 = 8 * 9 is the first multiple of 24 it skips
+        fam = [p for p in inert_primes_up_to(limit) if p**3 - p <= limit]
+        witnessed = sum(1 for n in range(1, limit + 1) if diagonal_witness(n))
+        assert sieve_complement_count(limit, fam) == witnessed
 
     def test_forces_24_up_to_1e5(self):
         for n in range(1, 10**5 + 1):

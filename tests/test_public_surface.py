@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import gausspow
-from gausspow import gaussian
+from gausspow import binomial_sums, congruence_sets, gaussian
 
 REMOVED = (
     "lcm_accumulate",
@@ -58,6 +58,10 @@ def test_removed_members_are_gone():
         for member in members:
             assert not hasattr(cls, member), f"{cls.__name__}.{member}"
     assert not hasattr(gaussian, "_mul_mod")
+    # U_p is walked by `density.sieve_complement_count` alone, and Lucas'
+    # digits take their binomials without cached factorial tables
+    assert not hasattr(congruence_sets, "diagonal_nonzero_up_to")
+    assert not hasattr(binomial_sums, "_factorial_tables")
     # str falls back to the field repr, GaussianInt(re=..., im=...)
     assert "__str__" not in vars(gaussian.GaussianInt)
 
