@@ -16,7 +16,14 @@ every filter.  In order, with (m + mi)^k reduced by the same modulus:
     (mod p), against (m + mi)^k, whose residue is itself an entry of the
     table.  For each k the candidates meet one prime at a time, and the
     table of (r + si)^k mod p is built once per (k, p) that some candidate
-    reaches.  This catches m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1).
+    reaches, by reindexing, with no exponentiation per entry.  The first
+    time a search reaches p it sets up one of two maps.  For p = 3 (mod 4),
+    Z[i]/p is the field F_{p^2}, whose units are the powers g^e of one
+    generator, e mod p^2 - 1; a table of each unit's log e then gives
+    (r + si)^k = g^(e k), and 0^k = 0.  For p = 1 (mod 4), with
+    iota^2 = -1 (mod p), r + si -> (r + s iota, r - s iota) takes Z[i]/p to
+    F_p x F_p, so one row of x^k mod p gives both coordinates.  This filter
+    catches m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1).
 
 Lemma: a pair with m >= 3 that passes (i) has m - 1 a power of 2.  Write
 n = m - 1 >= 2 and W(k, n) for the witness primes of `closed_form`.  For
@@ -39,7 +46,9 @@ exact comparison decides every survivor.
 
 from __future__ import annotations
 
-from .gaussian import GaussianInt, Record, _pow_mod, sigma_exact
+from collections.abc import Callable
+
+from .gaussian import GaussianInt, Record, sigma_exact
 
 SEARCH_GUARD = 500
 
@@ -74,6 +83,52 @@ def _sum_mod_prime(
     return re % p, im % p
 
 
+def _power_tables(p: int) -> Callable[[int], list[list[tuple[int, int]]]]:
+    """The map from k >= 1 to the table of (r + si)^k mod the odd prime p,
+    indexed [r][s], with its setup done once for every k."""
+    if p % 4 == 3:
+        # walk each candidate's powers until they return to 1; a generator's
+        # walk lists every unit of F_{p^2}, elems[e] = g^e
+        q = p * p - 1
+        for a, b in ((a, b) for b in range(1, p) for a in range(p)):
+            elems = [(1, 0)]
+            re, im = a, b
+            while (re, im) != (1, 0):
+                elems.append((re, im))
+                re, im = (re * a - im * b) % p, (re * b + im * a) % p
+            if len(elems) == q:
+                break
+        log = [[0] * p for _ in range(p)]
+        for e, (re, im) in enumerate(elems):
+            log[re][im] = e
+
+        def table(k: int) -> list[list[tuple[int, int]]]:
+            rows = [[elems[d * k % q] for d in row] for row in log]
+            rows[0][0] = (0, 0)
+            return rows
+
+        return table
+    # a quadratic non-residue c has c^((p-1)/2) = -1, so iota = c^((p-1)/4)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    iota = pow(c, (p - 1) // 4, p)
+    half, half_iota = (p + 1) // 2, pow(2 * iota, -1, p)
+    coords = [
+        [((r + s * iota) % p, (r - s * iota) % p) for s in range(p)] for r in range(p)
+    ]
+
+    def table(k: int) -> list[list[tuple[int, int]]]:
+        pw = [pow(x, k, p) for x in range(p)]
+        return [
+            [
+                ((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p)
+                for x, y in row
+            ]
+            for row in coords
+        ]
+
+    return table
+
+
 def _first_filter(k: int, m_max: int) -> list[int]:
     """The m in [2, m_max) that pass filter (i) at k, ascending: the lemma's
     m = 2, m = 3 for even k, and m = 2^j + 1 for 2 <= j <= k/2."""
@@ -89,17 +144,21 @@ def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     Each pair must pass every residue filter before its exact equality check.
     For each k the survivors of filter (i) meet the primes of filter (ii) in
     turn, so a rejected pair pays only for those it reached, and the table of
-    k-th powers mod p is built once for all the pairs that reach p.
+    k-th powers mod p is built once for all the pairs that reach p, from a
+    setup per prime that serves every k.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
     found = []
+    tables = {}  # p -> _power_tables(p), set up when a candidate first reaches p
     for k in range(1, k_max):
         ms = _first_filter(k, m_max)
         for p in SIEVE_PRIMES:
             if not ms:
                 break
-            powers = [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
+            if p not in tables:
+                tables[p] = _power_tables(p)
+            powers = tables[p](k)
             ms = [m for m in ms if _sum_mod_prime(powers, m, p) == powers[m % p][m % p]]
         for m in ms:
             lhs = sigma_exact(k, m - 1)

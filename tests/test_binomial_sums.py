@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gausspow.arith import is_prime
 from gausspow.binomial_sums import (
+    MAX_LUCAS_DIGIT_TERMS,
     binom_mod_p,
     dilcher_sum,
     hermite_sum,
@@ -55,6 +56,19 @@ class TestLucas:
             n = rng.randrange(10**4)
             m = rng.randrange(10**4)
             assert binom_mod_p(n, m, p) == comb(n, m) % p, (n, m)
+
+    def test_digit_cap(self):
+        # a digit C(a, b) with min(b, a - b) at the cap is evaluated; one term
+        # more is refused at once, also far above the cap at a huge prime
+        cap, p = MAX_LUCAS_DIGIT_TERMS, 10**9 + 7
+        assert binom_mod_p(2 * cap, cap, p) == comb(2 * cap, cap) % p
+        for n, m in [
+            (2 * cap + 2, cap + 1),
+            (2 * cap + 2 + p, cap + 1 + p),  # the low digit of two
+            (p - 1, p // 2),
+        ]:
+            with pytest.raises(ValueError, match="terms"):
+                binom_mod_p(n, m, p)
 
 
 def hermite_oracle(k, p):

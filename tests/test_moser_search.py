@@ -19,6 +19,7 @@ from gausspow.moser_search import (
     SIEVE_PRIMES,
     Solution,
     _first_filter,
+    _power_tables,
     _sum_mod_prime,
     search_solutions,
 )
@@ -88,6 +89,47 @@ class TestSearch:
         assert search_solutions(1, SEARCH_GUARD) == []
 
 
+def pow_mod_table(k, p):
+    return [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
+
+
+class TestPowerTables:
+    def test_tables_match_pow_mod(self):
+        # every prime the search sieves by, both branches: a full period and
+        # its wrap, k = 1..2(p^2 - 1) + 1, for p <= 11, and for the larger
+        # primes the wrap points k = 0, 1 (mod p^2 - 1) and sampled k
+        rng = random.Random(22)
+        for p in SIEVE_PRIMES:
+            table = _power_tables(p)
+            q = p * p - 1
+            if p <= 11:
+                ks = range(1, 2 * q + 2)
+            else:
+                ks = [1, 2, q - 1, q, q + 1, 2 * q, 2 * q + 1, 3 * q + 1]
+                ks += rng.sample(range(3, 10 * q), 12)
+            for k in ks:
+                assert table(k) == pow_mod_table(k, p), (p, k)
+
+    def test_zero_and_zero_divisors(self):
+        # 0^k = 0 in both branches; at a split prime the zero divisors
+        # r = +-s iota have powers that are nonzero zero divisors again
+        for p in SIEVE_PRIMES:
+            table = _power_tables(p)
+            q = p * p - 1
+            for k in (1, 2, q - 1, q, q + 1):
+                rows = table(k)
+                assert rows[0][0] == (0, 0), (p, k)
+                if p % 4 == 3:
+                    continue
+                iota = next(x for x in range(p) if x * x % p == p - 1)
+                for s in range(1, p):
+                    for r in (s * iota % p, -s * iota % p):
+                        re, im = rows[r][s]
+                        assert (re, im) == _pow_mod(r, s, k, p), (p, k, r, s)
+                        assert (re, im) != (0, 0)
+                        assert (re * re + im * im) % p == 0, (p, k, r, s)
+
+
 class TestSieve:
     def test_each_filter_reduces_the_exact_sum(self):
         # every filter must compare sigma_exact(k, m-1) reduced by its
@@ -95,12 +137,10 @@ class TestSieve:
         # filter (i) is the lemma's set, filter (ii) reads both sides off
         # the table of (r + si)^k mod p
         sums = list(exact_square_sweep(38, 39))  # sums[m-2][k-1]
+        builders = {p: _power_tables(p) for p in SIEVE_PRIMES}
         for k in range(1, 40):
             passed = _first_filter(k, 40)
-            tables = {
-                p: [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
-                for p in SIEVE_PRIMES
-            }
+            tables = {p: table(k) for p, table in builders.items()}
             for m in range(2, 40):
                 re, im = sums[m - 2][k - 1]
                 rhs_re, rhs_im = _pow_exact(m, m, k)
