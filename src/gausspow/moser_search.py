@@ -15,15 +15,21 @@ every filter.  In order, with (m + mi)^k reduced by the same modulus:
     c_r c_s (r + si)^k, where c_r counts the 1 <= a <= m-1 with a = r
     (mod p), against (m + mi)^k, whose residue is itself an entry of the
     table.  For each k the candidates meet one prime at a time, and the
-    table of (r + si)^k mod p is built once per (k, p) that some candidate
-    reaches, by reindexing, with no exponentiation per entry.  The first
-    time a search reaches p it sets up one of two maps.  For p = 3 (mod 4),
-    Z[i]/p is the field F_{p^2}, whose units are the powers g^e of one
-    generator, e mod p^2 - 1; a table of each unit's log e then gives
-    (r + si)^k = g^(e k), and 0^k = 0.  For p = 1 (mod 4), with
-    iota^2 = -1 (mod p), r + si -> (r + s iota, r - s iota) takes Z[i]/p to
-    F_p x F_p, so one row of x^k mod p gives both coordinates.  This filter
-    catches m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1).
+    table of (r + si)^k mod p is built by reindexing, with no
+    exponentiation per entry.  The first time a search reaches p it sets up
+    one of two maps.  For p = 3 (mod 4), Z[i]/p is the field F_{p^2}, whose
+    units are the powers g^e of one generator, e mod p^2 - 1; a table of
+    each unit's log e then gives (r + si)^k = g^(e k), and 0^k = 0.  For
+    p = 1 (mod 4), with iota^2 = -1 (mod p), r + si -> (r + s iota,
+    r - s iota) takes Z[i]/p to F_p x F_p, so one row of x^k mod p gives
+    both coordinates.  This filter catches m - 1 = 2^j, where
+    (1 + i)^k = 0 (mod m-1).  Its verdict at p depends on k only through
+    kr = (k - 1) mod (p^2 - 1) + 1: for k >= 1 every z^k in Z[i]/p repeats
+    with a period dividing p^2 - 1, since the units of F_{p^2} form a group
+    of that order, F_p x F_p has exponent p - 1, and 0^k = 0.  It depends on
+    m only through (m - 1) mod p^2, which fixes m mod p and every c_r mod p.
+    So the search decides it once per class (p, kr, (m - 1) mod p^2), and
+    builds each (p, kr) table once.
 
 Lemma: a pair with m >= 3 that passes (i) has m - 1 a power of 2.  Write
 n = m - 1 >= 2 and W(k, n) for the witness primes of `closed_form`.  For
@@ -137,29 +143,44 @@ def _first_filter(k: int, m_max: int) -> list[int]:
     return [m for m in ms if m < m_max]
 
 
+def _passes(seen: dict, p: int, kr: int, m: int) -> bool:
+    """Filter (ii) at p for one pair (k, m), with kr = (k - 1) % (p^2 - 1) + 1:
+    whether sigma_exact(k, m-1) = (m + mi)^k (mod p).  seen holds, under the
+    keys p, (p, kr) and (p, kr, (m - 1) % p^2), the prime's setup, its table
+    of kr-th powers and the verdict of the class, each made once."""
+    key = (p, kr, (m - 1) % (p * p))
+    verdict = seen.get(key)
+    if verdict is None:
+        if (p, kr) not in seen:
+            if p not in seen:
+                seen[p] = _power_tables(p)
+            seen[p, kr] = seen[p](kr)
+        powers = seen[p, kr]
+        verdict = seen[key] = _sum_mod_prime(powers, m, p) == powers[m % p][m % p]
+    return verdict
+
+
 def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     """All (k, m) with 1 <= k < k_max, 2 <= m < m_max solving the equation,
     ordered by (k, m).
 
     Each pair must pass every residue filter before its exact equality check.
     For each k the survivors of filter (i) meet the primes of filter (ii) in
-    turn, so a rejected pair pays only for those it reached, and the table of
-    k-th powers mod p is built once for all the pairs that reach p, from a
-    setup per prime that serves every k.
+    turn, so a rejected pair pays only for those it reached, and each prime's
+    verdict is decided once per residue class of (k, m - 1), from a table of
+    powers built once per class of k and a setup per prime that serves every k.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
     found = []
-    tables = {}  # p -> _power_tables(p), set up when a candidate first reaches p
+    seen = {}  # filter (ii)'s setups, tables and verdicts, local to the call
     for k in range(1, k_max):
         ms = _first_filter(k, m_max)
         for p in SIEVE_PRIMES:
             if not ms:
                 break
-            if p not in tables:
-                tables[p] = _power_tables(p)
-            powers = tables[p](k)
-            ms = [m for m in ms if _sum_mod_prime(powers, m, p) == powers[m % p][m % p]]
+            kr = (k - 1) % (p * p - 1) + 1
+            ms = [m for m in ms if _passes(seen, p, kr, m)]
         for m in ms:
             lhs = sigma_exact(k, m - 1)
             if lhs == GaussianInt(m, m) ** k:

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-slow checks (the k, m < 100 search box, about 0.006 s now that the search
-sieves by residues through one power table per prime, the 1e8 sieve, a few
-milliseconds now that it marks the lattice n = 24 j, and the 30-prime
+slow checks (the k, m < 100 search box, about 0.004 s now that the search
+decides each prime's residue filter once per residue class, the 1e8 sieve,
+a few milliseconds now that it marks the lattice n = 24 j, and the 30-prime
 bracket fixture shared by criteria 5, 6 and 8) carry the `slow` marker and
 can be deselected with `-m "not slow"`.
 """

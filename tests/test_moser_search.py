@@ -19,6 +19,7 @@ from gausspow.moser_search import (
     SIEVE_PRIMES,
     Solution,
     _first_filter,
+    _passes,
     _power_tables,
     _sum_mod_prime,
     search_solutions,
@@ -130,6 +131,50 @@ class TestPowerTables:
                         assert (re * re + im * im) % p == 0, (p, k, r, s)
 
 
+def verdict_sides(powers, m, p):
+    """Both sides of filter (ii) at p for m, from the table of k-th powers."""
+    return _sum_mod_prime(powers, m, p), powers[m % p][m % p]
+
+
+class TestResidueClasses:
+    def test_sides_are_periodic_in_k_and_m(self):
+        # filter (ii) at p reads k >= 1 only mod p^2 - 1 and m only through
+        # (m - 1) mod p^2: both sides are unchanged by k -> k + p^2 - 1 and
+        # by m -> m + p^2, also at k = p^2 - 1, whose exponent class is 0
+        rng = random.Random(23)
+        for p in SIEVE_PRIMES:
+            table = _power_tables(p)
+            q = p * p - 1
+            ks = [1, 2, q - 1, q] + rng.sample(range(3, q - 1), 4)
+            ms = [2, 3, p, p + 1, p * p, p * p + 1] + rng.sample(range(4, SEARCH_GUARD), 6)
+            for k in ks:
+                powers, shifted = table(k), table(k + q)
+                for m in ms:
+                    sides = verdict_sides(powers, m, p)
+                    assert verdict_sides(shifted, m, p) == sides, (p, k, m)
+                    assert verdict_sides(powers, m + p * p, p) == sides, (p, k, m)
+
+    def test_class_verdict_matches_direct_verdict(self):
+        # one verdict cache per prime, shared by pairs of the same class
+        # (k, k + q, k + 2q, and m + p^2 below the guard) met in random
+        # order, against the verdict read off the table of the unreduced k
+        rng = random.Random(2323)
+        for p in SIEVE_PRIMES:
+            table = _power_tables(p)
+            q = p * p - 1
+            pairs = []
+            for k in [q] + [rng.randrange(1, q) for _ in range(11)]:
+                m = rng.randrange(2, SEARCH_GUARD)
+                pairs += [(k + j * q, m) for j in range(3)]
+                if m + p * p < SEARCH_GUARD:
+                    pairs += [(k + j * q, m + p * p) for j in range(3)]
+            rng.shuffle(pairs)
+            seen = {}
+            for k, m in pairs:
+                sums, rhs = verdict_sides(table(k), m, p)
+                assert _passes(seen, p, (k - 1) % q + 1, m) == (sums == rhs), (p, k, m)
+
+
 class TestSieve:
     def test_each_filter_reduces_the_exact_sum(self):
         # every filter must compare sigma_exact(k, m-1) reduced by its
@@ -182,16 +227,29 @@ class TestSieve:
         # the pairs that reach each prime of filter (ii): the first count is
         # every survivor of filter (i), so a search that lists a wrong set
         # there or skips a prime changes the chain, though its output is the
-        # same (2, 3) on every box
-        calls = dict.fromkeys(SIEVE_PRIMES, 0)
+        # same (2, 3) on every box; and the residue classes among them whose
+        # verdict is evaluated, each once, so a search that keys its classes
+        # too finely or too coarsely changes those counts
+        classes = {
+            (SEARCH_GUARD, SEARCH_GUARD): [48, 123, 108, 75, 25, 35, 6, 2, 1, 1],
+            (100, 60): [44, 81, 84, 33, 2, 2, 1, 1, 1, 1],
+        }[box]
+        pairs = dict.fromkeys(SIEVE_PRIMES, 0)
+        sums = dict.fromkeys(SIEVE_PRIMES, 0)
 
-        def recorder(powers, m, p):
-            calls[p] += 1
+        def pair_recorder(seen, p, kr, m):
+            pairs[p] += 1
+            return _passes(seen, p, kr, m)
+
+        def sum_recorder(powers, m, p):
+            sums[p] += 1
             return _sum_mod_prime(powers, m, p)
 
-        monkeypatch.setattr(moser_search, "_sum_mod_prime", recorder)
+        monkeypatch.setattr(moser_search, "_passes", pair_recorder)
+        monkeypatch.setattr(moser_search, "_sum_mod_prime", sum_recorder)
         assert [(s.k, s.m) for s in search_solutions(*box)] == [(2, 3)]
-        assert list(calls.values()) == chain
+        assert list(pairs.values()) == chain
+        assert list(sums.values()) == classes
 
     def test_oracle_matches_direct_sums(self):
         sums = list(exact_square_sweep(11, 7))
