@@ -33,13 +33,15 @@ from .moser_search import search_solutions
 EPSILON_LEGEND = "ϵ := (1 + i)"
 
 # Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts; it holds nmax to 291
-# at kmax = 1.  The brute sweep takes about kmax * nmax^2 exact steps, and the
-# expansion rows add kmax * nmax^2 / 2 modular powers and kmax^2 / 4 exact
-# binomials per n.  The slowest accepted inputs lie near kmax = 30-48 (30 x 75,
-# 48 x 52): about 0.15 s in the three routes on a 2-core x86 host, 0.1 s of it
-# the brute sweep, and 0.22-0.24 s for the whole command, about 0.09 s of that
-# interpreter start and the package import.  From kmax = 80 up the
-# expansion rows dominate; at kmax = 1 the sweep to 291 takes about 0.05 s.
+# at kmax = 1.  The bound does not track the cost, whose peak lies inside the
+# range of kmax and not at its ends; its value fixes the accepted inputs.
+# The brute sweep takes about kmax * nmax^2 / 2 exact steps, and the expansion
+# rows at each n take kmax * n modular products and kmax^2 / 2 exact binomial
+# additions.  On a 2-core x86 host, in the three routes: the slowest accepted
+# inputs, 30 x 75 and 48 x 52, take about 31 ms (17-19 ms of it the brute
+# sweep) and the whole command about 0.075 s, 0.025 s of that interpreter
+# start; 1 x 291 takes about 11 ms (7 ms the sweep) and 290 x 1 about 4 ms,
+# nearly all of it the expansion rows.
 MAX_VERIFY_WORK = 25 * 10**6
 
 # Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,

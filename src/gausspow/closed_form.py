@@ -23,27 +23,29 @@ closed form above and a mid-level route through the binomial expansion of
 (a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
 ground-truth route.  `sigma_expansion_rows` runs the expansion for every k up
 to k_max at one n on the same power sums S_0(n)..S_k_max(n), summed once;
-`cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`, which
-gives the brute rows of every n up to n_max in one pass.
+`sigma_expansion` is its last row.  `cli.cmd_verify` checks its rows against
+`gaussian.sigma_brute_sweep`, which gives the brute rows of every n up to
+n_max in one pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import comb, isqrt
+from math import isqrt
+from operator import add
 
 from .arith import MAX_FACTOR_INPUT, factorize, inert_primes_up_to
 from .gaussian import GaussianResidue
-from .power_sums import s_mod_naive
 
 # Largest k `row_witness_primes` accepts: it sieves the primes p = 3 (mod 4)
 # with p^2 <= k + 1 and tries each, about 10 ms at 10^12 on a 2-core x86 host.
 MAX_ROW_K = 10**12
 
 # Largest k and n `sigma_expansion` accepts (k_max and n for
-# `sigma_expansion_rows`): one cell sums k + 1 power sums of n terms and takes k
-# exact binomials.  On a 2-core x86 host (1000, 1000) takes about 0.8 s, and the
-# rows to k_max = 1000 at n = 1000 about 8.5 s, mostly in the binomials.
+# `sigma_expansion_rows`): the rows to k sum k + 1 power sums of n terms and
+# take k(k + 1)/2 exact binomial additions, and one cell is the last of them.
+# On a 2-core x86 host the rows to k_max = 1000 at n = 1000, and so the cell
+# (1000, 1000), take about 0.11 s.
 MAX_EXPANSION_K = 1000
 MAX_EXPANSION_N = 1000
 
@@ -126,13 +128,23 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
     form but independent of it; it sits between brute force and the formula
     in the oracle stack.
     """
-    return _expand(k, n, _power_sums(k, n))
+    return sigma_expansion_rows(n, k)[-1]
 
 
 def sigma_expansion_rows(n: int, k_max: int) -> list[GaussianResidue]:
-    """[sigma_expansion(k, n) for k in 1..k_max], summing each S_m(n) once."""
+    """[sigma_expansion(k, n) for k in 1..k_max] from S_m(n) summed once and
+    Pascal's rows; t_j = C(k, j) S_j S_{k-j} goes to Re or Im, + or -, by
+    j mod 4."""
     s = _power_sums(k_max, n)
-    return [_expand(k, n, s) for k in range(1, k_max + 1)]
+    rows = []
+    pascal = [1]
+    for k in range(1, k_max + 1):
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+        t = [c * x * y for c, x, y in zip(pascal, s, s[k::-1])]
+        re = sum(t[0::4]) - sum(t[2::4])
+        im = sum(t[1::4]) - sum(t[3::4])
+        rows.append(GaussianResidue(re, im, n))
+    return rows
 
 
 def _power_sums(k: int, n: int) -> list[int]:
@@ -142,16 +154,8 @@ def _power_sums(k: int, n: int) -> list[int]:
             f"expansion needs 1 <= k <= {MAX_EXPANSION_K}"
             f" and 1 <= n <= {MAX_EXPANSION_N}"
         )
-    return [s_mod_naive(m, n) for m in range(k + 1)]
-
-
-def _expand(k: int, n: int, s: list[int]) -> GaussianResidue:
-    """The two signed binomial sums of `sigma_expansion`, s[m] = S_m(n) mod n."""
-    re = im = 0
-    for j in range(k // 2 + 1):
-        term = comb(k, 2 * j) % n * s[2 * j] % n * s[k - 2 * j] % n
-        re += -term if j % 2 else term
-    for j in range((k - 1) // 2 + 1):
-        term = comb(k, 2 * j + 1) % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
-        im += -term if j % 2 else term
-    return GaussianResidue(re % n, im % n, n)
+    sums, cur = [], [1] * n
+    for _ in range(k + 1):
+        sums.append(sum(cur) % n)
+        cur = [x * a % n for a, x in enumerate(cur, 1)]
+    return sums

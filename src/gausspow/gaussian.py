@@ -13,10 +13,11 @@ measured against.
 
 `exact_square_sweep` is the one place where the square grows: it keeps the
 double sum exact, unreduced in Z[i], for every k up to k_max, and grows
-[1, n]^2 from [1, n-1]^2 by its border of 2n - 1 terms.  No identity of the
-power sums enters, only that union of squares.  `sigma_brute_sweep` reduces
-each row it yields mod n, so it gives the cells of `sigma_brute` for every n
-up to n_max at once and is still the literal definition.
+[1, n]^2 from [1, n-1]^2 by its border of 2n - 1 terms, half of it the other
+half turned: (a + ni)^k = i^k conj((n + ai)^k), an identity of terms, not of
+power sums.  `sigma_brute_sweep` reduces each row it yields mod n, so it
+gives the cells of `sigma_brute` for every n up to n_max at once, still by
+the literal definition.
 """
 
 from __future__ import annotations
@@ -158,24 +159,31 @@ def exact_square_sweep(
     n_max: int, k_max: int
 ) -> Iterator[list[tuple[int, int]]]:
     """For n in 1..n_max, the exact sums over [1, n]^2 of (a+bi)^k for k in
-    1..k_max, as (re, im) pairs in a new list that later steps leave alone.
+    1..k_max, as (re, im) pairs in a new list for each n.
 
-    The sums over [1, n]^2 are the sums over [1, n-1]^2 plus the border terms
-    a = n, and b = n with a < n; each term carries its powers up through
-    k_max by exact multiplication.  O(k_max * n_max^2) exact steps.
+    Each square adds its border to the one before: n + bi for b <= n, and the
+    a + ni (a < n) as i^k conj(A_k), A_k the sum over b < n.  About
+    k_max * n_max^2 / 2 exact steps.
     """
     if k_max < 1 or n_max < 1:
         raise ValueError("k_max and n_max must be >= 1")
-    re = [0] * k_max
-    im = [0] * k_max
+    re, im = [0] * k_max, [0] * k_max
     for n in range(1, n_max + 1):
-        border = [(n, b) for b in range(1, n + 1)] + [(a, n) for a in range(1, n)]
-        for a, b in border:
+        are, aim = [0] * k_max, [0] * k_max  # A_k
+        for b in range(1, n):
             ca, cb = 1, 0
             for k in range(k_max):
-                ca, cb = ca * a - cb * b, ca * b + cb * a
-                re[k] += ca
-                im[k] += cb
+                ca, cb = ca * n - cb * b, ca * b + cb * n
+                are[k] += ca
+                aim[k] += cb
+        ca, cb = 1, 0
+        for k in range(k_max):
+            ca, cb = (ca - cb) * n, (ca + cb) * n
+            x, y = are[k], -aim[k]
+            for _ in range((k + 1) % 4):  # times i^(k + 1), the exponent's power of i
+                x, y = -y, x
+            re[k] += are[k] + x + ca
+            im[k] += aim[k] + y + cb
         yield list(zip(re, im))
 
 

@@ -601,7 +601,7 @@ class TestInputCaps:
         assert str(MAX_EXPANSION_K) in err
 
     # kmax = 1 gives the verify bound its largest nmax, 291; the slowest
-    # accepted inputs lie near kmax = 30-48, at about 0.2 s for the command
+    # accepted inputs lie near kmax = 30-48, at about 0.075 s for the command
     VERIFY_NMAX = max(n for n in range(1, 301) if n * (1 + n) ** 2 <= MAX_VERIFY_WORK)
 
     def test_verify_work_at_cap(self, capsys):

@@ -1,17 +1,19 @@
 """Closed-form sigma evaluation: witness set, case split, oracle agreement."""
 
 import random
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausspow import closed_form
 from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
     MAX_EXPANSION_N,
     MAX_ROW_K,
+    _power_sums,
     is_half_epsilon_case,
     row_witness_primes,
     sigma_closed,
@@ -21,6 +23,7 @@ from gausspow.closed_form import (
     witness_primes,
 )
 from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
+from gausspow.power_sums import s_mod_naive
 
 
 def walked_row_witness_primes(k):
@@ -33,6 +36,25 @@ def walked_row_witness_primes(k):
         for p in range(3, isqrt(k + 1) + 1, 4)
         if k % (p * p - 1) == 0 and is_prime(p)
     )
+
+
+def binomial_expansion(k, n, s):
+    """The two signed binomial sums of `sigma_expansion`, each term with its
+    own `math.comb` and s[m] = S_m(n) mod n."""
+    re = im = 0
+    for j in range(k // 2 + 1):
+        term = comb(k, 2 * j) % n * s[2 * j] % n * s[k - 2 * j] % n
+        re += -term if j % 2 else term
+    for j in range((k - 1) // 2 + 1):
+        term = comb(k, 2 * j + 1) % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
+        im += -term if j % 2 else term
+    return GaussianResidue(re % n, im % n, n)
+
+
+def summed_expansion_rows(n, k_max):
+    """`sigma_expansion_rows` from `s_mod_naive` and `binomial_expansion`."""
+    s = [s_mod_naive(m, n) for m in range(k_max + 1)]
+    return [binomial_expansion(k, n, s) for k in range(1, k_max + 1)]
 
 
 class TestWitnessPrimes:
@@ -175,6 +197,32 @@ class TestExpansionRoute:
         ]:
             with pytest.raises(ValueError):
                 sigma_expansion_rows(n, k_max)
+
+    def test_rows_match_summed_oracle(self):
+        for n in range(1, 61):
+            oracle = summed_expansion_rows(n, 60)
+            assert _power_sums(60, n) == [s_mod_naive(m, n) for m in range(61)], n
+            for k_max in range(1, 61):
+                assert sigma_expansion_rows(n, k_max) == oracle[:k_max], (n, k_max)
+
+    @pytest.mark.parametrize("n, k_max", [(1000, 3), (7, 1000), (1, 292)])
+    def test_long_rows_match_summed_oracle(self, n, k_max):
+        assert sigma_expansion_rows(n, k_max) == summed_expansion_rows(n, k_max)
+
+    def test_rows_match_oracle_on_any_sums(self, monkeypatch):
+        # On true power sums Im is 0 or n/2, its own negative mod n, so a sign
+        # slip in Im shows only when the expansion runs on other values of s
+        rng = random.Random(24)
+        for n in (5, 12, 97, 1000):
+            s = [rng.randrange(n) for _ in range(41)]
+            monkeypatch.setattr(closed_form, "_power_sums", lambda k, n: s)
+            expected = [binomial_expansion(k, n, s) for k in range(1, 41)]
+            assert sigma_expansion_rows(n, 40) == expected, n
+
+    def test_last_row_at_cap_matches_summed_oracle(self):
+        k, n = MAX_EXPANSION_K, MAX_EXPANSION_N
+        s = [s_mod_naive(m, n) for m in range(k + 1)]
+        assert sigma_expansion_rows(n, k)[-1] == binomial_expansion(k, n, s)
 
 
 class TestCaseFunctions:

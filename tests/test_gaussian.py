@@ -11,6 +11,7 @@ from gausspow.gaussian import (
     _pow_mod,
     sigma_brute,
     sigma_brute_rows,
+    exact_square_sweep,
     sigma_brute_sweep,
     sigma_exact,
 )
@@ -28,6 +29,22 @@ def _naive_pow(x, k, n=None):
     for _ in range(k):
         out = _mul(out, x)
     return out if n is None else (out[0] % n, out[1] % n)
+
+
+def walked_square_sweep(n_max, k_max):
+    """`exact_square_sweep` with no rotation: every one of the 2n - 1 border
+    terms of [1, n]^2 carries its own powers up through k_max."""
+    re = [0] * k_max
+    im = [0] * k_max
+    for n in range(1, n_max + 1):
+        border = [(n, b) for b in range(1, n + 1)] + [(a, n) for a in range(1, n)]
+        for a, b in border:
+            ca, cb = 1, 0
+            for k in range(k_max):
+                ca, cb = ca * a - cb * b, ca * b + cb * a
+                re[k] += ca
+                im[k] += cb
+        yield list(zip(re, im))
 
 
 class TestResidueRing:
@@ -127,6 +144,21 @@ class TestBruteSweep:
     def test_rejects_empty_box(self, n_max, k_max):
         with pytest.raises(ValueError):
             sigma_brute_sweep(n_max, k_max)
+
+    def test_exact_sweep_matches_walked_border_small(self):
+        # every k_max <= 12 passes each exponent class mod 4 of the rotation
+        # i^k, and n_max = 1 has a corner and no mirrored border
+        for n_max in range(1, 13):
+            for k_max in range(1, 13):
+                assert list(exact_square_sweep(n_max, k_max)) == list(
+                    walked_square_sweep(n_max, k_max)
+                ), (n_max, k_max)
+
+    @pytest.mark.parametrize("n_max, k_max", [(48, 48), (291, 1), (2, 300)])
+    def test_exact_sweep_matches_walked_border(self, n_max, k_max):
+        assert list(exact_square_sweep(n_max, k_max)) == list(
+            walked_square_sweep(n_max, k_max)
+        )
 
 
 class TestExactSigma:
