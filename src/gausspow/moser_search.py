@@ -58,9 +58,9 @@ from .gaussian import GaussianInt, Record, sigma_exact
 
 SEARCH_GUARD = 500
 
-# Small odd primes for filter (ii).  Over k, m < 500 the primes up to
-# 23 already leave only (2, 3); the rest cost nothing once a pair is rejected.
-SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# Small odd primes for filter (ii).  Below SEARCH_GUARD they leave only the
+# solution (2, 3), so a larger prime would reject nothing and cost its setup.
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 class Solution(Record):

@@ -1,5 +1,6 @@
 """Exact density machinery: closed products, inclusion-exclusion, sieve oracle."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausspow import density
-from gausspow.arith import inert_primes_up_to, is_prime, sieve_inert_primes
+from gausspow.arith import decimal_render, inert_primes_up_to, is_prime, sieve_inert_primes
 from gausspow.congruence_sets import outside_row_zeros
 from gausspow.density import (
     MAX_UNION_PRIMES,
@@ -207,6 +208,42 @@ def enumerated_union(primes):
     return Fraction(num, total_lcm)
 
 
+def _live_part(n, r):
+    """Largest divisor of n built only from primes that divide r."""
+    rest = n
+    while (g := gcd(rest, r)) > 1:
+        rest //= g
+    return n // rest
+
+
+def live_part_union(primes):
+    """The union DP keyed by the live part of lcm(S), the part of the total
+    lcm built from primes that divide some later q^4 - q^2: the same
+    recurrence with coarser merging, and the oracle `union_density` must
+    reproduce exactly."""
+    order = tuple(primes)[::-1]
+    us = [p**4 - p**2 for p in order]
+    total_lcm = lcm(*us)
+    lives = []
+    later = 1
+    for u in reversed(us):
+        lives.append(_live_part(total_lcm, later))
+        later *= u
+    lives.reverse()
+    states = {1: total_lcm}
+    for p, u, live in zip(order, us, lives):
+        nxt = {}
+        for key, val in states.items():
+            skip = gcd(key, live)
+            nxt[skip] = nxt.get(skip, 0) + val
+            if key % (p * p):
+                g = gcd(key, u)
+                add = gcd(key // g * u, live)
+                nxt[add] = nxt.get(add, 0) - val * (p - 1) * g // u
+        states = nxt
+    return Fraction(total_lcm - states[1], total_lcm)
+
+
 FIRST_FORTY = sieve_inert_primes(40)
 # partners p of 3 with 9 | p^2 - 1: every incompatible pair among the first 40
 THREE_PARTNERS = [p for p in FIRST_FORTY[1:] if (p * p - 1) % 9 == 0]
@@ -224,11 +261,43 @@ def subfamilies(draw):
     return sorted(fam)
 
 
+INERT_BELOW_3000 = inert_primes_up_to(3000)
+# p^2 - 1 divisible by 81, 49 or 121: factors of u = p^4 - p^2 at high powers
+POWER_RICH = [
+    p for p in INERT_BELOW_3000 if p % 81 in (1, 80) or p % 49 in (1, 48) or p % 121 in (1, 120)
+]
+THREE_PARTNERS_BELOW_3000 = [p for p in INERT_BELOW_3000[1:] if (p * p - 1) % 9 == 0]
+
+
+def seeded_families(seed, count):
+    """count families of at most 12 inert primes below 3000: half drawn from
+    all of them, half built from 3, 7 and 11, primes from POWER_RICH (among
+    them the partners of 7 and 11) and partners of 3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            fam = set(rng.sample(INERT_BELOW_3000, rng.randint(1, 12)))
+        else:
+            fam = set(rng.sample((3, 7, 11), rng.randint(1, 3)))
+            fam |= set(rng.sample(POWER_RICH, rng.randint(1, 6)))
+            fam |= set(rng.sample(THREE_PARTNERS_BELOW_3000, rng.randint(0, 3)))
+        yield sorted(fam)
+
+
 # union_density of the first 24 inert primes (the benchmark's bracket input)
 ELL_24 = Fraction(
     "135010272581424513583935379778615981994009550684416848481693350419275724"
     "784833211912131/4655654262767242539366564956101252237805470439946340793657"
     "455218856947201807417293558400"
+)
+
+# union_density of the first 40 inert primes, MAX_UNION_PRIMES
+ELL_40 = Fraction(
+    "2339409584104549004826885597789782229284088538124508747887308737510784587"
+    "9582364098194413895654872385282063073159486051987071253297766107625653207"
+    "733689842942541311008499/806709592770764247991163726774463211840625853665"
+    "5385136361984679312761813248244540394919172845061533747732253159328264383"
+    "35613006225474855503642609888467045267633363618880"
 )
 
 
@@ -263,6 +332,15 @@ class TestUnionDensity:
     @example([3, *THREE_PARTNERS])
     def test_matches_enumeration_on_subfamilies(self, fam):
         assert union_density(fam) == enumerated_union(fam)
+
+    def test_matches_live_part_dp_on_first_primes(self):
+        for n in range(1, MAX_UNION_PRIMES + 1):
+            fam = FIRST_FORTY[:n]
+            assert union_density(fam) == live_part_union(fam), n
+
+    def test_matches_enumeration_on_seeded_families(self):
+        for fam in seeded_families(25, 200):
+            assert union_density(fam) == enumerated_union(fam), fam
 
     def test_pinned_24_prime_value(self):
         assert union_density(sieve_inert_primes(24)) == ELL_24
@@ -357,11 +435,13 @@ class TestDiagonalBracket:
 
     def test_largest_accepted_input_is_bounded(self):
         # MAX_UNION_PRIMES with the 2e7 sieve cap: the slowest bracket the CLI
-        # accepts, about 2 s on a 2-core host
+        # accepts, about 0.7 s on a 2-core host
         start = time.perf_counter()
         result = diagonal_bracket(MAX_UNION_PRIMES, 2 * 10**7)
-        assert time.perf_counter() - start < 30.0
-        assert result.lower > Fraction(971, 1000)
+        assert time.perf_counter() - start < 5.0
+        assert result.union == ELL_40
+        assert decimal_render(result.lower, 12, "down") == "0.971000353311"
+        assert decimal_render(result.upper, 12, "up") == "0.971000597922"
 
     def test_monotone_lower_bounds(self):
         small = diagonal_bracket(8, 10**6)
