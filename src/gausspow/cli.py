@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 verified mathematical discrepancy (verify), 2 usage.
 All numeric output is exact or directed-rounded: the density bracket prints
 the exact union density and rounds the tail and the endpoints outward.
 
-A valid command is parsed by its leaf parser alone: when `argv` starts with a
-full subcommand path (`sigma`, ..., `density nk`), `main(argv)` builds the one
-parser that path's subparser would be, with the same `prog`, and parses the
-rest with it.  Every other `argv`, and a leaf parse that leaves extras, goes
-to the full parser, so help and error text are the full parser's.  Parsers
-are built per call and never kept: a shell user starts one process per
-command, so a kept parser would save them nothing.
+Each subcommand and `density` target is one row of `COMMANDS` or
+`DENSITY_TARGETS`, and `_configure` adds its options to the leaf parser and
+to the full parser alike.  A valid command is parsed by its leaf parser alone:
+when `argv` starts with a full subcommand path (`sigma`, ..., `density nk`),
+`main(argv)` builds the one parser that path's subparser would be, with the
+same `prog`, and parses the rest with it.  Every other `argv`, and a leaf
+parse that leaves extras, goes to the full parser, so help and error text are
+the full parser's.  Parsers are built per call and never kept: a shell user
+starts one process per command, so a kept parser would save them nothing.
 """
 
 from __future__ import annotations
@@ -200,88 +202,55 @@ def cmd_primes(args) -> int:
     return 0
 
 
-def _configure_sigma(p) -> None:
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method", choices=("closed", "expansion", "brute"), default="closed"
-    )
-    p.set_defaults(func=cmd_sigma)
+_REQUIRED_INT = {"type": int, "required": True}
+_DIGITS = ("--digits", {"type": int, "default": 19})
+_TEXT_OR_JSON = ("--format", {"choices": ("text", "json"), "default": "text"})
 
-
-def _configure_table(p) -> None:
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_table)
-
-
-def _configure_verify(p) -> None:
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
-
-def _configure_density_nk(p) -> None:
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--digits", type=int, default=19)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_density_nk)
-
-
-def _configure_density_m(p) -> None:
-    p.add_argument("--primes", type=int, default=20)
-    p.add_argument("--tail-limit", type=int, default=10**6, dest="tail_limit")
-    p.add_argument("--digits", type=int, default=19)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_density_m)
-
-
+# Name -> (help line, cmd_* function, [(flag, add_argument keywords), ...]),
+# or for `density` (help line, dest, table of targets): it has subparsers too.
 DENSITY_TARGETS = {
-    "nk": ("zero density of one table row", _configure_density_nk),
-    "m": ("bracket the diagonal zero density", _configure_density_m),
+    "nk": ("zero density of one table row", cmd_density_nk,
+           [("--k", _REQUIRED_INT), _DIGITS, _TEXT_OR_JSON]),
+    "m": ("bracket the diagonal zero density", cmd_density_m,
+          [("--primes", {"type": int, "default": 20}),
+           ("--tail-limit", {"type": int, "default": 10**6}), _DIGITS, _TEXT_OR_JSON]),
 }
-
-
-def _configure_witness(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_witness)
-
-
-def _configure_em_search(p) -> None:
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    p.set_defaults(func=cmd_em_search)
-
-
-def _configure_primes(p) -> None:
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_primes)
-
-
-# Subcommand name -> (help line, configure(parser)), or for `density`
-# (help line, (dest, table of targets)): its parser gets subparsers of its own.
 COMMANDS = {
-    "sigma": ("evaluate the power sum mod n", _configure_sigma),
-    "table": ("render the k x n value table", _configure_table),
-    "verify": ("sweep all three evaluation routes", _configure_verify),
-    "density": ("exact density computations", ("target", DENSITY_TARGETS)),
-    "witness": ("smallest diagonal witness prime for n", _configure_witness),
-    "em-search": ("exhaustive equation search", _configure_em_search),
-    "primes": ("list the smallest inert primes", _configure_primes),
+    "sigma": ("evaluate the power sum mod n", cmd_sigma,
+              [("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT),
+               ("--method", {"choices": ("closed", "expansion", "brute"),
+                             "default": "closed"})]),
+    "table": ("render the k x n value table", cmd_table,
+              [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT),
+               ("--format", {"choices": ("text", "csv", "json"), "default": "text"})]),
+    "verify": ("sweep all three evaluation routes", cmd_verify,
+               [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT)]),
+    "density": ("exact density computations", "target", DENSITY_TARGETS),
+    "witness": ("smallest diagonal witness prime for n", cmd_witness,
+                [("--n", _REQUIRED_INT)]),
+    "em-search": ("exhaustive equation search", cmd_em_search,
+                  [("--kmax", _REQUIRED_INT), ("--mmax", _REQUIRED_INT)]),
+    "primes": ("list the smallest inert primes", cmd_primes,
+               [("--count", _REQUIRED_INT), _TEXT_OR_JSON]),
 }
+
+
+def _configure(parser, func, options) -> None:
+    """Add `options` to `parser` in order, and have it call `func`."""
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
 
 
 def _add_commands(parser, dest: str, table: dict) -> None:
     """Add a subparser to `parser` for every entry of `table`."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    for cmd, (help_text, configure) in table.items():
+    for cmd, (help_text, func, options) in table.items():
         p = sub.add_parser(cmd, help=help_text)
-        if isinstance(configure, tuple):
-            _add_commands(p, *configure)
+        if isinstance(options, dict):  # `density`: func is the targets' dest
+            _add_commands(p, func, options)
         else:
-            configure(p)
+            _configure(p, func, options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,12 +280,12 @@ def _parse_leaf(argv: list) -> argparse.Namespace | None:
             return None
         if dest:  # the choice made at a level below the root
             setattr(namespace, dest, name)
-        configure = table[name][1]
-        if isinstance(configure, tuple):
-            dest, table = configure
+        _, func, options = table[name]
+        if isinstance(options, dict):
+            dest, table = func, options
             continue
         parser = argparse.ArgumentParser(prog=" ".join(["gausspow", *argv[:depth]]))
-        configure(parser)
+        _configure(parser, func, options)
         args, extras = parser.parse_known_args(argv[depth:], namespace)
         return None if extras else args
     return None

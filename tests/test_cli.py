@@ -461,6 +461,111 @@ class TestParserPaths:
         assert parsed == [argv, argv]
 
 
+# Per leaf: a minimal valid command line, the namespace it parses to (every
+# default, and `func`), and each option's (flags, type, required, choices,
+# default, dest).  Written out, not read from `cli.COMMANDS`: the tests above
+# build both parsers from that table, so a wrong entry there passes them.
+OPTION_PINS = [
+    (
+        ["sigma", "--k", "3", "--n", "10"],
+        {"k": 3, "n": 10, "method": "closed", "func": cli.cmd_sigma},
+        [
+            ("--k", int, True, None, None, "k"),
+            ("--n", int, True, None, None, "n"),
+            ("--method", None, False, ("closed", "expansion", "brute"), "closed",
+             "method"),
+        ],
+    ),
+    (
+        ["table", "--kmax", "3", "--nmax", "4"],
+        {"kmax": 3, "nmax": 4, "format": "text", "func": cli.cmd_table},
+        [
+            ("--kmax", int, True, None, None, "kmax"),
+            ("--nmax", int, True, None, None, "nmax"),
+            ("--format", None, False, ("text", "csv", "json"), "text", "format"),
+        ],
+    ),
+    (
+        ["verify", "--kmax", "2", "--nmax", "2"],
+        {"kmax": 2, "nmax": 2, "func": cli.cmd_verify},
+        [
+            ("--kmax", int, True, None, None, "kmax"),
+            ("--nmax", int, True, None, None, "nmax"),
+        ],
+    ),
+    (
+        ["density", "nk", "--k", "8"],
+        {"target": "nk", "k": 8, "digits": 19, "format": "text",
+         "func": cli.cmd_density_nk},
+        [
+            ("--k", int, True, None, None, "k"),
+            ("--digits", int, False, None, 19, "digits"),
+            ("--format", None, False, ("text", "json"), "text", "format"),
+        ],
+    ),
+    (
+        ["density", "m"],
+        {"target": "m", "primes": 20, "tail_limit": 10**6, "digits": 19,
+         "format": "text", "func": cli.cmd_density_m},
+        [
+            ("--primes", int, False, None, 20, "primes"),
+            ("--tail-limit", int, False, None, 10**6, "tail_limit"),
+            ("--digits", int, False, None, 19, "digits"),
+            ("--format", None, False, ("text", "json"), "text", "format"),
+        ],
+    ),
+    (
+        ["witness", "--n", "24"],
+        {"n": 24, "func": cli.cmd_witness},
+        [("--n", int, True, None, None, "n")],
+    ),
+    (
+        ["em-search", "--kmax", "5", "--mmax", "5"],
+        {"kmax": 5, "mmax": 5, "func": cli.cmd_em_search},
+        [
+            ("--kmax", int, True, None, None, "kmax"),
+            ("--mmax", int, True, None, None, "mmax"),
+        ],
+    ),
+    (
+        ["primes", "--count", "4"],
+        {"count": 4, "format": "text", "func": cli.cmd_primes},
+        [
+            ("--count", int, True, None, None, "count"),
+            ("--format", None, False, ("text", "json"), "text", "format"),
+        ],
+    ),
+]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "argv, namespace, options", OPTION_PINS,
+        ids=[argv_id(argv) for argv, _, _ in OPTION_PINS],
+    )
+    def test_leaf_is_pinned(self, argv, namespace, options):
+        assert vars(cli._parse_leaf(argv)) == namespace
+        assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **namespace}
+        # the leaf's subparser in the full parser, read from its actions, not
+        # its help text, which differs between Python versions
+        parser = build_parser()
+        for name in argv[: 1 + (argv[0] == "density")]:
+            (sub,) = [a for a in parser._actions if a.dest in ("command", "target")]
+            parser = sub.choices[name]
+        got = [
+            (" ".join(a.option_strings), a.type, a.required, a.choices, a.default, a.dest)
+            for a in parser._actions
+            if a.dest != "help"
+        ]
+        assert got == options
+
+    def test_every_leaf_is_pinned(self):
+        leaves = [[name] for name in COMMANDS if name != "density"]
+        leaves += [["density", name] for name in cli.DENSITY_TARGETS]
+        pinned = [argv[: 1 + (argv[0] == "density")] for argv, _, _ in OPTION_PINS]
+        assert sorted(pinned) == sorted(leaves)
+
+
 class TestImport:
     @staticmethod
     def run_python(*args):
