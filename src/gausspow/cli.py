@@ -25,7 +25,7 @@ from fractions import Fraction
 from .arith import decimal_render, sieve_inert_primes
 from .closed_form import (
     MAX_EXPANSION_K, row_class, sigma_closed, sigma_closed_row, sigma_expansion,
-    sigma_expansion_rows,
+    sigma_expansion_sweep,
 )
 from .congruence_sets import diagonal_witness
 from .density import diagonal_bracket, digit_count, zero_row_density
@@ -37,13 +37,13 @@ EPSILON_LEGEND = "ϵ := (1 + i)"
 # Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts; it holds nmax to 291
 # at kmax = 1.  The bound does not track the cost, whose peak lies inside the
 # range of kmax and not at its ends; its value fixes the accepted inputs.
-# The brute sweep takes about kmax * nmax^2 / 2 exact steps, and the expansion
-# rows at each n take kmax * n modular products and kmax^2 / 2 exact binomial
-# additions.  On a 2-core x86 host, in the three routes: the slowest accepted
-# inputs, 30 x 75 and 48 x 52, take about 31 ms (17-19 ms of it the brute
-# sweep) and the whole command about 0.075 s, 0.025 s of that interpreter
-# start; 1 x 291 takes about 11 ms (7 ms the sweep) and 290 x 1 about 4 ms,
-# nearly all of it the expansion rows.
+# The brute sweep takes about kmax * nmax^2 / 2 exact steps, the expansion
+# sweep kmax^2 * nmax / 2 products of a binomial and two power sums, and the
+# closed column one row per row class.  On a 2-core x86 host, in the three
+# routes: the slowest accepted inputs, 30 x 75 and 48 x 52, take about 25 ms
+# (18-20 ms of it the brute sweep) and the whole command about 0.065 s,
+# 0.025 s of that interpreter start; 1 x 291 takes about 8 ms (7 ms the brute
+# sweep) and 290 x 1 about 4 ms, nearly all of it the expansion sweep.
 MAX_VERIFY_WORK = 25 * 10**6
 
 # Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,
@@ -79,17 +79,24 @@ def cmd_sigma(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    kmax, nmax = args.kmax, args.nmax
-    if not (1 <= kmax <= MAX_TABLE_SIDE and 1 <= nmax <= MAX_TABLE_SIDE):
-        raise ValueError(f"kmax and nmax must be in [1, {MAX_TABLE_SIDE}]")
-    # A row depends on k only through its class (closed_form docstring), so
-    # each class row is evaluated and rendered once and printed for every k.
+def _class_rows(kmax: int, nmax: int) -> tuple[list, dict]:
+    """The row class of each k in 1..kmax, and `sigma_closed_row(k, nmax)`
+    evaluated once per class: a row depends on k only through its class
+    (closed_form docstring)."""
     keys = [row_class(k) for k in range(1, kmax + 1)]
     rows = {}
     for k, key in enumerate(keys, start=1):
         if key not in rows:
             rows[key] = sigma_closed_row(k, nmax)
+    return keys, rows
+
+
+def cmd_table(args) -> int:
+    kmax, nmax = args.kmax, args.nmax
+    if not (1 <= kmax <= MAX_TABLE_SIDE and 1 <= nmax <= MAX_TABLE_SIDE):
+        raise ValueError(f"kmax and nmax must be in [1, {MAX_TABLE_SIDE}]")
+    # each class row is rendered once and printed for every k of its class
+    keys, rows = _class_rows(kmax, nmax)
     if args.format == "json":
         text = {key: json.dumps([[c.re, c.im] for c in row]) for key, row in rows.items()}
         body = ", ".join(text[key] for key in keys)
@@ -118,11 +125,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"requires 1 <= kmax <= {MAX_EXPANSION_K} and nmax >= 1")
     if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
         raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
-    closed_rows = [sigma_closed_row(k, nmax) for k in range(1, kmax + 1)]
-    for n, brute in enumerate(sigma_brute_sweep(nmax, kmax), start=1):
-        expansion = sigma_expansion_rows(n, kmax)
+    keys, closed_rows = _class_rows(kmax, nmax)
+    routes = zip(sigma_brute_sweep(nmax, kmax), sigma_expansion_sweep(nmax, kmax))
+    for n, (brute, expansion) in enumerate(routes, start=1):
         for k in range(1, kmax + 1):
-            closed = closed_rows[k - 1][n - 1]
+            closed = closed_rows[keys[k - 1]][n - 1]
             if not (closed == expansion[k - 1] == brute[k - 1]):
                 print(
                     f"MISMATCH at k={k} n={n}: closed={closed} "

@@ -21,16 +21,19 @@ p^2 not dividing n, so a whole row needs no factorization:
 Two independent evaluation routes live here and are cross-tested: the
 closed form above and a mid-level route through the binomial expansion of
 (a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
-ground-truth route.  `sigma_expansion_rows` runs the expansion for every k up
-to k_max at one n on the same power sums S_0(n)..S_k_max(n), summed once;
-`sigma_expansion` is its last row.  `cli.cmd_verify` checks its rows against
-`gaussian.sigma_brute_sweep`, which gives the brute rows of every n up to
-n_max in one pass.
+ground-truth route.  `_expand` writes the expansion of one cell once, from
+one row of binomials C(k, 0..k) and S_0(n)..S_k(n) mod n.  `sigma_expansion`
+builds the one row it needs by C(k, j + 1) = C(k, j)(k - j)/(j + 1);
+`sigma_expansion_sweep` gives the rows of every n up to n_max in one pass,
+carrying the exact power sums from n - 1 to n and building each Pascal row
+once.  `cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`,
+the brute rows in one pass, and against one closed row per row class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import accumulate
 from math import isqrt
 from operator import add
 
@@ -41,11 +44,12 @@ from .gaussian import GaussianResidue
 # with p^2 <= k + 1 and tries each, about 10 ms at 10^12 on a 2-core x86 host.
 MAX_ROW_K = 10**12
 
-# Largest k and n `sigma_expansion` accepts (k_max and n for
-# `sigma_expansion_rows`): the rows to k sum k + 1 power sums of n terms and
-# take k(k + 1)/2 exact binomial additions, and one cell is the last of them.
-# On a 2-core x86 host the rows to k_max = 1000 at n = 1000, and so the cell
-# (1000, 1000), take about 0.11 s.
+# Largest k and n `sigma_expansion` accepts (k_max and n_max for
+# `sigma_expansion_sweep`): one cell sums k + 1 power sums of n terms and
+# expands k + 1 exact binomials, about 0.06 s at (1000, 1000) on a 2-core x86
+# host, nearly all of it the power sums.  The sweep expands every cell of
+# its box, about k_max^2 n_max / 2 products, so `cli.cmd_verify` bounds it
+# far below these caps.
 MAX_EXPANSION_K = 1000
 MAX_EXPANSION_N = 1000
 
@@ -128,34 +132,62 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
     form but independent of it; it sits between brute force and the formula
     in the oracle stack.
     """
-    return sigma_expansion_rows(n, k)[-1]
+    s = _power_sums(k, n)  # checks k and n
+    binomials = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
+    return _expand(list(binomials), s, n)
 
 
-def sigma_expansion_rows(n: int, k_max: int) -> list[GaussianResidue]:
-    """[sigma_expansion(k, n) for k in 1..k_max] from S_m(n) summed once and
-    Pascal's rows; t_j = C(k, j) S_j S_{k-j} goes to Re or Im, + or -, by
-    j mod 4."""
-    s = _power_sums(k_max, n)
-    rows = []
+def sigma_expansion_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
+    """[[sigma_expansion(k, n) for k in 1..k_max] for n in 1..n_max] in one
+    pass: the power sums of every n from `_power_sum_sweep`, and each row of
+    Pascal's triangle built once from the one before and expanded at every n."""
+    sums = _power_sum_sweep(n_max, k_max)
+    rows = [[] for _ in sums]
     pascal = [1]
-    for k in range(1, k_max + 1):
+    for _ in range(k_max):
         pascal = [1, *map(add, pascal, pascal[1:]), 1]
-        t = [c * x * y for c, x, y in zip(pascal, s, s[k::-1])]
-        re = sum(t[0::4]) - sum(t[2::4])
-        im = sum(t[1::4]) - sum(t[3::4])
-        rows.append(GaussianResidue(re, im, n))
+        for n, (s, row) in enumerate(zip(sums, rows), start=1):
+            row.append(_expand(pascal, s, n))
     return rows
 
 
-def _power_sums(k: int, n: int) -> list[int]:
-    """[S_m(n) mod n for m in 0..k] by literal summation, within the caps."""
+def _expand(binomials: list[int], s: list[int], n: int) -> GaussianResidue:
+    """The expansion of cell (k, n) from binomials = C(k, 0..k) and s[m] =
+    S_m(n) mod n for m <= k: t_j = C(k, j) S_j S_{k-j} goes to Re or Im, + or
+    -, by j mod 4."""
+    k = len(binomials) - 1
+    t = [c * x * y for c, x, y in zip(binomials, s, s[k::-1])]
+    return GaussianResidue(sum(t[0::4]) - sum(t[2::4]), sum(t[1::4]) - sum(t[3::4]), n)
+
+
+def _check_expansion(k: int, n: int) -> None:
     if not (1 <= k <= MAX_EXPANSION_K and 1 <= n <= MAX_EXPANSION_N):
         raise ValueError(
             f"expansion needs 1 <= k <= {MAX_EXPANSION_K}"
             f" and 1 <= n <= {MAX_EXPANSION_N}"
         )
+
+
+def _power_sums(k: int, n: int) -> list[int]:
+    """[S_m(n) mod n for m in 0..k] by literal summation, within the caps."""
+    _check_expansion(k, n)
     sums, cur = [], [1] * n
     for _ in range(k + 1):
         sums.append(sum(cur) % n)
         cur = [x * a % n for a, x in enumerate(cur, 1)]
     return sums
+
+
+def _power_sum_sweep(n_max: int, k_max: int) -> list[list[int]]:
+    """[[S_m(n) mod n for m in 0..k_max] for n in 1..n_max]: the exact sums
+    S_m(n - 1) are carried to n by adding n^m, and reduced as each n is read
+    off, so each is still the literal sum 1^m + ... + n^m."""
+    _check_expansion(k_max, n_max)
+    exact, rows = [0] * (k_max + 1), []
+    for n in range(1, n_max + 1):
+        power = 1
+        for m in range(k_max + 1):
+            exact[m] += power
+            power *= n
+        rows.append([x % n for x in exact])
+    return rows

@@ -17,7 +17,7 @@ from gausspow import cli
 from gausspow.arith import MAX_FACTOR_INPUT, MAX_INERT_COUNT
 from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser, main
 from gausspow.closed_form import (
-    MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K, sigma_closed,
+    MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K, sigma_closed, sigma_closed_row,
 )
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
 from gausspow.moser_search import SEARCH_GUARD
@@ -192,8 +192,16 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--kmax", "2", "--nmax", "301")
         assert code == 2
 
+    def test_class_rows_match_each_row(self):
+        # verify and table read row k from its class; brute and expansion
+        # still run every k, so a wrong key would also show as a MISMATCH
+        keys, rows = cli._class_rows(300, 300)
+        assert len(keys) == 300
+        for k, key in enumerate(keys, start=1):
+            assert rows[key] == sigma_closed_row(k, 300), k
+
     @pytest.mark.parametrize(
-        "route", ["sigma_closed_row", "sigma_expansion_rows", "sigma_brute_sweep"]
+        "route", ["sigma_closed_row", "sigma_expansion_sweep", "sigma_brute_sweep"]
     )
     def test_corrupted_formula_exits_one(self, capsys, monkeypatch, route):
         import gausspow.cli as cli_mod
@@ -207,15 +215,15 @@ class TestVerify:
         def broken_row(k, n_max):
             return [broken_cell(k, n) for n in range(1, n_max + 1)]
 
-        def broken_rows(n, k_max):
-            return [broken_cell(k, n) for k in range(1, k_max + 1)]
-
         def broken_sweep(n_max, k_max):
-            return [broken_rows(n, k_max) for n in range(1, n_max + 1)]
+            return [
+                [broken_cell(k, n) for k in range(1, k_max + 1)]
+                for n in range(1, n_max + 1)
+            ]
 
         broken = {
             "sigma_closed_row": broken_row,
-            "sigma_expansion_rows": broken_rows,
+            "sigma_expansion_sweep": broken_sweep,
             "sigma_brute_sweep": broken_sweep,
         }[route]
         monkeypatch.setattr(cli_mod, route, broken)

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausspow import closed_form
 from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
     MAX_EXPANSION_N,
     MAX_ROW_K,
+    _expand,
+    _power_sum_sweep,
     _power_sums,
     is_half_epsilon_case,
     row_witness_primes,
     sigma_closed,
     sigma_closed_row,
     sigma_expansion,
-    sigma_expansion_rows,
+    sigma_expansion_sweep,
     witness_primes,
 )
 from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
@@ -38,23 +39,34 @@ def walked_row_witness_primes(k):
     )
 
 
-def binomial_expansion(k, n, s):
-    """The two signed binomial sums of `sigma_expansion`, each term with its
-    own `math.comb` and s[m] = S_m(n) mod n."""
+def binomial_expansion(c, n, s):
+    """The two signed binomial sums of `sigma_expansion` at k = len(c) - 1,
+    term by term, from c[j] = C(k, j) and s[m] = S_m(n) mod n."""
+    k = len(c) - 1
     re = im = 0
     for j in range(k // 2 + 1):
-        term = comb(k, 2 * j) % n * s[2 * j] % n * s[k - 2 * j] % n
+        term = c[2 * j] % n * s[2 * j] % n * s[k - 2 * j] % n
         re += -term if j % 2 else term
     for j in range((k - 1) // 2 + 1):
-        term = comb(k, 2 * j + 1) % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
+        term = c[2 * j + 1] % n * s[2 * j + 1] % n * s[k - 2 * j - 1] % n
         im += -term if j % 2 else term
     return GaussianResidue(re % n, im % n, n)
 
 
-def summed_expansion_rows(n, k_max):
-    """`sigma_expansion_rows` from `s_mod_naive` and `binomial_expansion`."""
-    s = [s_mod_naive(m, n) for m in range(k_max + 1)]
-    return [binomial_expansion(k, n, s) for k in range(1, k_max + 1)]
+def comb_row(k):
+    return [comb(k, j) for j in range(k + 1)]
+
+
+def summed_expansion_sweep(n_max, k_max):
+    """`sigma_expansion_sweep` from `s_mod_naive`, `math.comb` (each taken
+    once for every n) and `binomial_expansion`."""
+    sums = [[s_mod_naive(m, n) for m in range(k_max + 1)] for n in range(1, n_max + 1)]
+    rows = [[] for _ in sums]
+    for k in range(1, k_max + 1):
+        c = comb_row(k)
+        for n, (s, row) in enumerate(zip(sums, rows), start=1):
+            row.append(binomial_expansion(c, n, s))
+    return rows
 
 
 class TestWitnessPrimes:
@@ -188,41 +200,58 @@ class TestExpansionRoute:
         assert sigma_expansion(8, 3) == GaussianResidue(2, 0, 3)
 
     def test_rows_bounds(self):
-        assert len(sigma_expansion_rows(MAX_EXPANSION_N, 1)) == 1
-        for n, k_max in [
+        assert len(sigma_expansion_sweep(MAX_EXPANSION_N, 1)) == MAX_EXPANSION_N
+        assert len(sigma_expansion_sweep(1, MAX_EXPANSION_K)[0]) == MAX_EXPANSION_K
+        for n_max, k_max in [
             (1, 0),
             (0, 1),
             (1, MAX_EXPANSION_K + 1),
             (MAX_EXPANSION_N + 1, 1),
         ]:
             with pytest.raises(ValueError):
-                sigma_expansion_rows(n, k_max)
+                sigma_expansion_sweep(n_max, k_max)
 
     def test_rows_match_summed_oracle(self):
         for n in range(1, 61):
-            oracle = summed_expansion_rows(n, 60)
             assert _power_sums(60, n) == [s_mod_naive(m, n) for m in range(61)], n
-            for k_max in range(1, 61):
-                assert sigma_expansion_rows(n, k_max) == oracle[:k_max], (n, k_max)
+        assert sigma_expansion_sweep(60, 60) == summed_expansion_sweep(60, 60)
+
+    # the verify shapes 1 x 291, 290 x 1, 30 x 75 and 48 x 52 (kmax x nmax,
+    # the last two the slowest verify accepts), named here by (n_max, k_max)
+    @pytest.mark.parametrize("n_max, k_max", [(291, 1), (1, 290), (75, 30), (52, 48)])
+    def test_sweep_matches_summed_oracle_on_verify_shapes(self, n_max, k_max):
+        oracle = summed_expansion_sweep(n_max, k_max)
+        assert sigma_expansion_sweep(n_max, k_max) == oracle
+
+    @pytest.mark.parametrize("n_max, k_max", [(60, 60), (291, 1), (1, 290), (75, 30)])
+    def test_sweep_power_sums_match_summation(self, n_max, k_max):
+        sums = _power_sum_sweep(n_max, k_max)
+        assert len(sums) == n_max
+        for n, s in enumerate(sums, start=1):
+            assert s == _power_sums(k_max, n), n
 
     @pytest.mark.parametrize("n, k_max", [(1000, 3), (7, 1000), (1, 292)])
     def test_long_rows_match_summed_oracle(self, n, k_max):
-        assert sigma_expansion_rows(n, k_max) == summed_expansion_rows(n, k_max)
+        # every row of the sweep to n, and single cells of its last row
+        oracle = summed_expansion_sweep(n, k_max)
+        assert sigma_expansion_sweep(n, k_max) == oracle
+        for k in (1, 2, k_max - 1, k_max):
+            assert sigma_expansion(k, n) == oracle[-1][k - 1], k
 
-    def test_rows_match_oracle_on_any_sums(self, monkeypatch):
+    def test_rows_match_oracle_on_any_sums(self):
         # On true power sums Im is 0 or n/2, its own negative mod n, so a sign
         # slip in Im shows only when the expansion runs on other values of s
         rng = random.Random(24)
         for n in (5, 12, 97, 1000):
             s = [rng.randrange(n) for _ in range(41)]
-            monkeypatch.setattr(closed_form, "_power_sums", lambda k, n: s)
-            expected = [binomial_expansion(k, n, s) for k in range(1, 41)]
-            assert sigma_expansion_rows(n, 40) == expected, n
+            for k in range(1, 41):
+                c = comb_row(k)
+                assert _expand(c, s, n) == binomial_expansion(c, n, s), (k, n)
 
     def test_last_row_at_cap_matches_summed_oracle(self):
         k, n = MAX_EXPANSION_K, MAX_EXPANSION_N
         s = [s_mod_naive(m, n) for m in range(k + 1)]
-        assert sigma_expansion_rows(n, k)[-1] == binomial_expansion(k, n, s)
+        assert sigma_expansion(k, n) == binomial_expansion(comb_row(k), n, s)
 
 
 class TestCaseFunctions:
@@ -249,8 +278,8 @@ GRID = 40
 
 class TestOracleStack:
     def test_triple_agreement_full_grid(self):
-        for n, brute in enumerate(sigma_brute_sweep(GRID, GRID), start=1):
-            expansion = sigma_expansion_rows(n, GRID)
+        routes = zip(sigma_brute_sweep(GRID, GRID), sigma_expansion_sweep(GRID, GRID))
+        for n, (brute, expansion) in enumerate(routes, start=1):
             for k in range(1, GRID + 1):
                 closed = sigma_closed(k, n)
                 expanded = sigma_expansion(k, n)
