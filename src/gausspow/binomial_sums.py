@@ -2,8 +2,13 @@
 
 These are the classical congruences of Hermite and Dilcher for sums of
 binomial coefficients taken at indices in arithmetic progression of gap p-1,
-plus the signed variant that feeds the Gaussian closed form.  Binomials are
-reduced mod p by Lucas decomposition so the sums stay cheap for large k.
+plus the signed variant that feeds the Gaussian closed form.  All three are
+one walk, `_lacunary_sum`: the sum of sign^j C(n, j(p-1)) over the inner
+indices 0 < j(p-1) < n.  Hermite's sum is the walk with sign 1, the signed
+sum the walk with sign -1 at p = 3 (mod 4), and Dilcher's alternating sum the
+walk over n = k(p-1) plus its two end terms C(n, 0) = 1 and (-1)^k C(n, n).
+Binomials are reduced mod p by Lucas decomposition so the sums stay cheap for
+large k; each public function checks that p is prime once per call.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ def binom_mod_p(n: int, m: int, p: int) -> int:
     MAX_LUCAS_DIGIT_TERMS."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _lucas(n, m, p)
+
+
+def _lucas(n: int, m: int, p: int) -> int:
+    """`binom_mod_p` for a p already known to be prime."""
     if m < 0 or m > n:
         return 0
     out = 1
@@ -44,6 +54,12 @@ def binom_mod_p(n: int, m: int, p: int) -> int:
     return out
 
 
+def _lacunary_sum(n: int, p: int, sign: int) -> int:
+    """Sum of sign^j C(n, j(p-1)) over 0 < j(p-1) < n, mod the prime p."""
+    last = (n - 1) // (p - 1)  # the largest j with j(p-1) < n
+    return sum(sign**j * _lucas(n, j * (p - 1), p) for j in range(1, last + 1)) % p
+
+
 def hermite_sum(k: int, p: int) -> int:
     """Sum of C(k, j(p-1)) over 0 < j(p-1) < k, mod p.
 
@@ -54,12 +70,7 @@ def hermite_sum(k: int, p: int) -> int:
         raise ValueError("k must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = 0
-    j = 1
-    while j * (p - 1) < k:
-        total += binom_mod_p(k, j * (p - 1), p)
-        j += 1
-    return total % p
+    return _lacunary_sum(k, p, 1)
 
 
 def dilcher_sum(k: int, p: int) -> int:
@@ -71,11 +82,8 @@ def dilcher_sum(k: int, p: int) -> int:
         raise ValueError("k must be >= 1")
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    total = 0
-    for j in range(k + 1):
-        term = binom_mod_p(k * (p - 1), j * (p - 1), p)
-        total += -term if j % 2 else term
-    return total % p
+    # the inner terms 0 < j < k, then the end terms j = 0 and j = k
+    return (_lacunary_sum(k * (p - 1), p, -1) + 1 + (-1) ** k) % p
 
 
 def signed_lacunary_sum(n: int, p: int) -> int:
@@ -89,9 +97,4 @@ def signed_lacunary_sum(n: int, p: int) -> int:
         raise ValueError(f"{p} is not an odd prime")
     if n < 1 or n % (p - 1) != 0:
         raise ValueError("requires p - 1 | n")
-    alternating = (p - 1) // 2 % 2 == 1  # p = 3 (mod 4)
-    total = 0
-    for j in range(1, n // (p - 1)):
-        term = binom_mod_p(n, j * (p - 1), p)
-        total += -term if (alternating and j % 2) else term
-    return total % p
+    return _lacunary_sum(n, p, -1 if p % 4 == 3 else 1)

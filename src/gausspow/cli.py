@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arith import decimal_render, sieve_inert_primes
 from .closed_form import (
@@ -140,20 +139,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _print_fraction(q: Fraction, digits: int, fmt: str, label: str) -> None:
+def cmd_density_nk(args) -> int:
+    q = zero_row_density(args.k)
     # render first: a rejected digit count must leave stdout empty
-    decimal = decimal_render(q, digits, "down")
+    decimal = decimal_render(q, args.digits, "down")
     fraction = f"{q.numerator}/{q.denominator}"
-    if fmt == "json":
-        print(json.dumps({label: fraction, "decimal": decimal}))
+    if args.format == "json":
+        print(json.dumps({"density": fraction, "decimal": decimal}))
     else:
         print(fraction)
         print(f"= {decimal} (truncated)")
-
-
-def cmd_density_nk(args) -> int:
-    q = zero_row_density(args.k)
-    _print_fraction(q, args.digits, args.format, "density")
     return 0
 
 

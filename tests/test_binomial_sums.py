@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gausspow import binomial_sums
 from gausspow.arith import is_prime
 from gausspow.binomial_sums import (
     MAX_LUCAS_DIGIT_TERMS,
@@ -106,7 +107,8 @@ class TestHermite:
                 assert hermite_sum(k, p) == 0, (k, p)
 
     def test_matches_exact_oracle(self):
-        for p in (3, 5, 7):
+        # 43 is past `is_prime`'s trial divisors 2..37
+        for p in (3, 5, 7, 43):
             for k in range(1, 60):
                 assert hermite_sum(k, p) == hermite_oracle(k, p)
 
@@ -136,8 +138,10 @@ class TestDilcher:
                     assert got == 2 % p, (k, p)
 
     def test_matches_exact_oracle(self):
-        for p in (3, 5, 7):
-            for k in range(1, 25):
+        # 43 is past `is_prime`'s trial divisors 2..37, and from 41^2 = 1681 on
+        # `is_prime` runs Miller-Rabin; the exact binomials grow with k p there
+        for p, k_max in [(3, 24), (5, 24), (7, 24), (43, 24), (1693, 12)]:
+            for k in range(1, k_max + 1):
                 assert dilcher_sum(k, p) == dilcher_oracle(k, p)
 
 
@@ -169,7 +173,8 @@ class TestSignedLacunary:
                     assert got == 0, (n, p)
 
     def test_matches_exact_oracle(self):
-        for p in (3, 7, 11):
+        # both signs: 5 and 13 are 1 (mod 4), 3, 7 and 11 are 3 (mod 4)
+        for p in (3, 5, 7, 11, 13):
             for mult in range(1, 20):
                 n = mult * (p - 1)
                 assert signed_lacunary_sum(n, p) == lacunary_oracle(n, p)
@@ -182,3 +187,23 @@ class TestSignedLacunary:
                 n = mult * (p - 1)
                 expected = (dilcher_sum(mult, p) - 1 - (-1) ** mult) % p
                 assert signed_lacunary_sum(n, p) == expected, (n, p)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (hermite_sum, (10**5, 1009)),
+        (dilcher_sum, (300, 43)),
+        (signed_lacunary_sum, (420, 43)),
+    ],
+)
+def test_prime_checked_once_per_call(monkeypatch, fn, args):
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(binomial_sums, "is_prime", counting_is_prime)
+    fn(*args)
+    assert calls == [args[1]]
