@@ -23,6 +23,7 @@ denominator, so every endpoint is exact or rounded outward.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -161,7 +162,8 @@ def _tail_primes(p_min: int, p_limit: int) -> list[int]:
         raise ValueError("requires p_min < p_limit")
     if p_limit > 2 * 10**7:
         raise ValueError("sieve limit capped at 2e7")
-    return [p for p in inert_primes_up_to(p_limit) if p > p_min]
+    primes = inert_primes_up_to(p_limit)
+    return primes[bisect_right(primes, p_min):]
 
 
 def tail_bound(p_min: int, p_limit: int) -> Fraction:
@@ -220,8 +222,8 @@ def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
     return DiagonalBracket(1 - ell - tail, 1 - ell, ell, tail, fam)
 
 
-# Values of n that `sieve_complement_count` marks per pass: its bytearray over
-# j = n / 24 holds SIEVE_CHUNK // 24 entries, 0.7 MB.
+# `sieve_complement_count` marks SIEVE_CHUNK // 24 bytearray entries per pass,
+# 0.7 MB; an entry stands for 24 values of n, or 72 once 3 is folded out.
 SIEVE_CHUNK = 1 << 24
 
 
@@ -231,32 +233,44 @@ def sieve_complement_count(limit: int, primes) -> int:
     Independent oracle for `union_density`: it marks the progressions and
     never runs the dynamic program.  For p = 3 (mod 4), 8 divides p^2 - 1
     (p is odd) and 3 divides p^3 - p = (p - 1) p (p + 1), so 24 | p^3 - p
-    and every U_p lies on the lattice n = 24 j.  With u = (p^3 - p)/24,
-    U_p is the set of j that are multiples t u of u with p not dividing t;
-    each nonzero residue of t mod p is one stride of step p u.  One bytearray
-    over j, `SIEVE_CHUNK // 24` entries at a time, takes those strides for
-    every prime and is then counted.
+    and every U_p lies on the lattice n = 24 j.  With u_p = (p^3 - p)/24,
+    U_p is the set of j that are multiples t u_p of u_p with p not dividing t.
+
+    u_3 = 1, so U_3 is every j >= 1 prime to 3, counted in closed form, and
+    the other primes need marking only on j = 3 i.  There U_p is
+    i = t v_p with p not dividing t, where v_p = u_p / gcd(u_p, 3): when 3
+    does not divide u_p, t runs over multiples of 3, and p divides 3 t' just
+    when it divides t'.  A family without 3 marks all of j, with v_p = u_p.
+    Each nonzero residue of t mod p is one stride of step p v_p; one
+    bytearray over i, `SIEVE_CHUNK // 24` entries at a time, takes those
+    strides for every prime and is then counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
     fam = validate_prime_family(primes)
-    steps = [((p**3 - p) // 24, p) for p in fam]
     top = limit // 24
+    count, fold = 0, 1
+    if fam and fam[0] == 3:
+        count, fold, fam = top - top // 3, 3, fam[1:]
+        top //= 3
+    steps = []
+    for p in fam:
+        u = (p**3 - p) // 24
+        steps.append((u // gcd(u, fold), p))
     span = max(1, SIEVE_CHUNK // 24)
     marked = bytearray(min(span, top + 1))
     ones = memoryview(b"\x01" * len(marked))
-    count = 0
     for lo in range(0, top + 1, span):
         hi = min(lo + span, top + 1)
         width = hi - lo
         marked[:width] = bytes(width)
-        for u, p in steps:
-            # one multiple t u per residue of t mod p, from the first in the chunk
-            first = -(-lo // u)
-            for t in range(first, min(first + p, (hi - 1) // u + 1)):
+        for v, p in steps:
+            # one multiple t v per residue of t mod p, from the first in the chunk
+            first = -(-lo // v)
+            for t in range(first, min(first + p, (hi - 1) // v + 1)):
                 if t % p:
-                    s = t * u - lo
-                    marked[s:width:p * u] = ones[: len(range(s, width, p * u))]
+                    s = t * v - lo
+                    marked[s:width:p * v] = ones[: len(range(s, width, p * v))]
         count += marked.count(1, 0, width)
     return count
 

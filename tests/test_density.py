@@ -519,12 +519,40 @@ class TestSieveOracle:
     @example(([7, 11, 19], 10**5, 5))
     @example(([7, 23, 31, 43], 2 * 10**6, 1 << 20))
     @example((list(FIRST_TWELVE), 2 * 10**6, 4001))
+    @example(([3], 71, 1))
+    @example(([3, 7], 10**5 + 71, 23))
+    @example(([3, 7, 11, 19], 2 * 10**6, 72))
     def test_lattice_sieve_matches_chunked_marking(self, case):
         fam, limit, chunk = case
         expected = chunked_marking_count(limit, fam, chunk)
         with patch.object(density, "SIEVE_CHUNK", chunk):
             assert sieve_complement_count(limit, fam) == expected
         assert sieve_complement_count(limit, fam) == expected
+
+    @pytest.mark.parametrize("limit", [71, 72, 73, 143, 144, 10**5 + 71])
+    @pytest.mark.parametrize("chunk", [1, 23, 24, 71, 72])
+    def test_fold_boundaries_with_three(self, limit, chunk):
+        """With 3 in the family only j = 3 i is marked, one entry per 72
+        values of n: limits and chunks on either side of multiples of 24 and
+        72 match the marking over all of n."""
+        for fam in ((3,), (3, 7), (3, 7, 11, 19)):
+            expected = chunked_marking_count(limit, fam, 1 << 20)
+            with patch.object(density, "SIEVE_CHUNK", chunk):
+                assert sieve_complement_count(limit, fam) == expected
+
+    def test_fold_keeps_every_prime(self):
+        """The count for (3, p) is |U_3| plus the part of U_p on 3 | j, both
+        counted on the lattice j = n / 24 straight from u_p = (p^3 - p)/24:
+        U_3 is the j prime to 3, U_p the t u_p with p not dividing t.  The
+        primes cover both 3 | u_p (19) and 3 not dividing u_p (7)."""
+        top = 10**6 // 24
+        folds = set()
+        for p in FIRST_TWELVE[1:]:
+            u = (p**3 - p) // 24
+            folds.add(gcd(u, 3))
+            on_threes = sum(1 for t in range(1, top // u + 1) if t % p and t * u % 3 == 0)
+            assert sieve_complement_count(10**6, (3, p)) == top - top // 3 + on_threes
+        assert folds == {1, 3}
 
     def test_pinned_counts_at_1e8(self):
         assert sieve_complement_count(10**8, sieve_inert_primes(24)) == 2899920
