@@ -222,11 +222,6 @@ def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
     return DiagonalBracket(1 - ell - tail, 1 - ell, ell, tail, fam)
 
 
-# `sieve_complement_count` marks SIEVE_CHUNK // 24 bytearray entries per pass,
-# 0.7 MB; an entry stands for 24 values of n, or 72 once 3 is folded out.
-SIEVE_CHUNK = 1 << 24
-
-
 def sieve_complement_count(limit: int, primes) -> int:
     """Count n <= limit lying in some U_p, by direct progression marking.
 
@@ -241,9 +236,9 @@ def sieve_complement_count(limit: int, primes) -> int:
     i = t v_p with p not dividing t, where v_p = u_p / gcd(u_p, 3): when 3
     does not divide u_p, t runs over multiples of 3, and p divides 3 t' just
     when it divides t'.  A family without 3 marks all of j, with v_p = u_p.
-    Each nonzero residue of t mod p is one stride of step p v_p; one
-    bytearray over i, `SIEVE_CHUNK // 24` entries at a time, takes those
-    strides for every prime and is then counted.
+    Each nonzero residue of t mod p is one stride of step p v_p.  One
+    bytearray over i (over j without 3), limit/72 bytes (limit/24), takes
+    every prime's strides and is then counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
@@ -253,26 +248,14 @@ def sieve_complement_count(limit: int, primes) -> int:
     if fam and fam[0] == 3:
         count, fold, fam = top - top // 3, 3, fam[1:]
         top //= 3
-    steps = []
+    marked = bytearray(top + 1)
     for p in fam:
         u = (p**3 - p) // 24
-        steps.append((u // gcd(u, fold), p))
-    span = max(1, SIEVE_CHUNK // 24)
-    marked = bytearray(min(span, top + 1))
-    ones = memoryview(b"\x01" * len(marked))
-    for lo in range(0, top + 1, span):
-        hi = min(lo + span, top + 1)
-        width = hi - lo
-        marked[:width] = bytes(width)
-        for v, p in steps:
-            # one multiple t v per residue of t mod p, from the first in the chunk
-            first = -(-lo // v)
-            for t in range(first, min(first + p, (hi - 1) // v + 1)):
-                if t % p:
-                    s = t * v - lo
-                    marked[s:width:p * v] = ones[: len(range(s, width, p * v))]
-        count += marked.count(1, 0, width)
-    return count
+        v = u // gcd(u, fold)
+        ones = b"\x01" * len(range(v, top + 1, p * v))
+        for s in range(v, p * v, v):
+            marked[s::p * v] = ones[: len(range(s, top + 1, p * v))]
+    return count + marked.count(1)
 
 
 def digit_count(x: int) -> int:

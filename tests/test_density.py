@@ -2,16 +2,15 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gausspow import density
 from gausspow.arith import decimal_render, inert_primes_up_to, is_prime, sieve_inert_primes
 from gausspow.congruence_sets import outside_row_zeros
 from gausspow.density import (
@@ -477,9 +476,10 @@ FIRST_TWELVE = sieve_inert_primes(12)
 
 @st.composite
 def sieve_cases(draw):
-    """A subfamily of the first 12 inert primes (3 included or not), a chunk
-    in 1..2^20 (below 24 one time in three), and a limit up to 2e6, held to
-    1000 chunks so the oracle stays fast."""
+    """A subfamily of the first 12 inert primes (3 included or not), a limit
+    up to 2e6, and the chunk of the oracle `chunked_marking_count`, in
+    1..2^20 (below 24 one time in three); the limit is held to 1000 chunks so
+    the oracle stays fast."""
     fam = sorted(draw(st.lists(st.sampled_from(FIRST_TWELVE), unique=True)))
     chunk = draw(st.one_of(st.integers(1, 23), st.integers(24, 2**20), st.integers(24, 2**20)))
     limit = draw(st.integers(1, min(2 * 10**6, 1000 * chunk)))
@@ -496,14 +496,6 @@ class TestSieveOracle:
         count = sieve_complement_count(n, (3,))
         assert count == expected
         assert abs(Fraction(count, n) - Fraction(1, 36)) < Fraction(1, 10**4)
-
-    def test_chunking_invariance(self):
-        fam = sieve_inert_primes(5)
-        with patch.object(density, "SIEVE_CHUNK", 997):
-            small_chunks = sieve_complement_count(10**5, fam)
-        with patch.object(density, "SIEVE_CHUNK", 1 << 20):
-            one_chunk = sieve_complement_count(10**5, fam)
-        assert small_chunks == one_chunk
 
     def test_against_union_density_mid_scale(self):
         fam = sieve_inert_primes(10)
@@ -522,23 +514,47 @@ class TestSieveOracle:
     @example(([3], 71, 1))
     @example(([3, 7], 10**5 + 71, 23))
     @example(([3, 7, 11, 19], 2 * 10**6, 72))
+    # v_263 = 757966 lies past the array, so 263 marks nothing
+    @example(([3, 263], 10**5, 4001))
+    @example(([263], 10**5, 4001))
+    # a one-entry array, i = 0 (j = 0) alone
+    @example(([3], 23, 1))
+    @example(([7], 23, 1))
+    # top + 1 = 980 is ten strides of 7 (p u_7 = 98) on j, then on i
+    @example(([7], 24 * 979, 4001))
+    @example(([7], 24 * 979 + 23, 4001))
+    @example(([3, 7], 72 * 980 - 1, 4001))
+    # the last entry is marked: j = u_7 = 14, then i = v_7 = 14
+    @example(([7], 24 * 14, 24))
+    @example(([3, 7], 72 * 14 + 71, 24))
     def test_lattice_sieve_matches_chunked_marking(self, case):
         fam, limit, chunk = case
-        expected = chunked_marking_count(limit, fam, chunk)
-        with patch.object(density, "SIEVE_CHUNK", chunk):
-            assert sieve_complement_count(limit, fam) == expected
-        assert sieve_complement_count(limit, fam) == expected
+        assert sieve_complement_count(limit, fam) == chunked_marking_count(limit, fam, chunk)
 
     @pytest.mark.parametrize("limit", [71, 72, 73, 143, 144, 10**5 + 71])
     @pytest.mark.parametrize("chunk", [1, 23, 24, 71, 72])
     def test_fold_boundaries_with_three(self, limit, chunk):
         """With 3 in the family only j = 3 i is marked, one entry per 72
-        values of n: limits and chunks on either side of multiples of 24 and
-        72 match the marking over all of n."""
+        values of n: limits on either side of multiples of 24 and 72 match
+        the marking over all of n, done by the oracle in chunks on either
+        side of 24 and 72."""
         for fam in ((3,), (3, 7), (3, 7, 11, 19)):
-            expected = chunked_marking_count(limit, fam, 1 << 20)
-            with patch.object(density, "SIEVE_CHUNK", chunk):
-                assert sieve_complement_count(limit, fam) == expected
+            expected = chunked_marking_count(limit, fam, chunk)
+            assert sieve_complement_count(limit, fam) == expected
+
+    def test_memory_follows_the_lattice(self):
+        """One bytearray over the lattice and nothing else of its size:
+        limit/72 bytes with 3 folded out, limit/24 without, plus 1 MiB of
+        slack for the per-prime strides."""
+        for fam, entries in ((sieve_inert_primes(24), 10**8 // 72),
+                             (sieve_inert_primes(25)[1:], 10**8 // 24)):
+            tracemalloc.start()
+            try:
+                sieve_complement_count(10**8, fam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < entries + 2**20
 
     def test_fold_keeps_every_prime(self):
         """The count for (3, p) is |U_3| plus the part of U_p on 3 | j, both
