@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate, combinations
+from math import gcd, lcm, prod
 
 from .arith import (
     inert_primes_up_to,
@@ -61,10 +62,9 @@ def zero_row_density(k: int) -> Fraction:
     primes p = 3 (mod 4) with p^2 - 1 | k (empty product = 1).
     """
     odd, row_primes = row_class(k)
-    out = Fraction(1)
-    for p in row_primes:
-        out *= Fraction(p * p - p + 1, p * p)
-    return Fraction(3, 4) if odd else out
+    if odd:
+        return Fraction(3, 4)
+    return Fraction(prod(p * p - p + 1 for p in row_primes), prod(row_primes) ** 2)
 
 
 def intersection_density(primes) -> Fraction:
@@ -77,16 +77,9 @@ def intersection_density(primes) -> Fraction:
     fam = validate_prime_family(primes)
     if not fam:
         raise ValueError("prime family must be non-empty")
-    for i, q in enumerate(fam):
-        for p in fam[i + 1 :]:
-            if (p * p - 1) % (q * q) == 0:
-                return Fraction(0)
-    phi = 1
-    common = 1
-    for q in fam:
-        phi *= q - 1
-        common = lcm(common, q**4 - q**2)
-    return Fraction(phi, common)
+    if any((p * p - 1) % (q * q) == 0 for q, p in combinations(fam, 2)):
+        return Fraction(0)
+    return Fraction(prod(q - 1 for q in fam), lcm(*(q**4 - q**2 for q in fam)))
 
 
 def union_density(primes) -> Fraction:
@@ -113,20 +106,15 @@ def union_density(primes) -> Fraction:
         raise ValueError("prime family must be non-empty")
     if len(fam) > MAX_UNION_PRIMES:
         raise ValueError(f"at most {MAX_UNION_PRIMES} primes supported")
-    order = fam[::-1]
-    us = [p**4 - p**2 for p in order]
-    # lives[i]: the lcm of the u of the primes after order[i]
-    lives = []
-    total_lcm = 1
-    for u in reversed(us):
-        lives.append(total_lcm)
-        total_lcm = lcm(total_lcm, u)
-    lives.reverse()
+    us = [p**4 - p**2 for p in fam]
+    # lives[i]: the lcm of the u of the primes below fam[i], which the DP,
+    # largest first, has still to take
+    *lives, total_lcm = accumulate(us, lcm, initial=1)
 
     # value of a state: sum of (-1)^|S| phi(S) total_lcm / lcm(S), with S
     # ranging over every compatible subset (the empty one included)
     states = {1: total_lcm}
-    for p, u, live in zip(order, us, lives):
+    for p, u, live in zip(reversed(fam), reversed(us), reversed(lives)):
         nxt: dict[int, int] = {}
         for key, val in states.items():
             skip = gcd(key, live)
@@ -140,20 +128,17 @@ def union_density(primes) -> Fraction:
 
 
 def _merge_sum(terms: list[Fraction]) -> Fraction:
-    """Sum fractions by balanced pairwise merging.
+    """Sum fractions by halving: each half is summed the same way, then the
+    two are added.
 
     Each addition then joins two operands of similar size, and reducing it
     costs a gcd of their denominators; a left-to-right sum, or one reduction
     of the unreduced total, pays a gcd on numbers as large as the whole sum.
     """
-    if not terms:
-        return Fraction(0)
-    while len(terms) > 1:
-        nxt = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            nxt.append(terms[-1])
-        terms = nxt
-    return terms[0]
+    if len(terms) < 2:
+        return sum(terms, Fraction(0))
+    mid = len(terms) // 2
+    return _merge_sum(terms[:mid]) + _merge_sum(terms[mid:])
 
 
 def _tail_primes(p_min: int, p_limit: int) -> list[int]:

@@ -207,3 +207,16 @@ def test_prime_checked_once_per_call(monkeypatch, fn, args):
     monkeypatch.setattr(binomial_sums, "is_prime", counting_is_prime)
     fn(*args)
     assert calls == [args[1]]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (hermite_sum, (0, 3), "k must be >= 1"),
+        (hermite_sum, (2, 4), "4 is not prime"),
+        (dilcher_sum, (0, 3), "k must be >= 1"),
+    ],
+)
+def test_rejects_bad_inputs(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

@@ -19,7 +19,7 @@ from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser
 from gausspow.closed_form import (
     MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K, sigma_closed, sigma_closed_row,
 )
-from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK
+from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK, GaussianResidue
 from gausspow.moser_search import SEARCH_GUARD
 
 
@@ -103,6 +103,10 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--kmax", "1", "--nmax", "1")
         assert code == 0
         assert out.strip().splitlines()[-1].split() == ["1", "0"]
+
+    def test_text_cell_general_case(self):
+        # no closed-form cell has Re and Im nonzero and unequal
+        assert cli._cell_text(GaussianResidue(1, 2, 5)) == "1+2i"
 
     def test_csv_cells(self, capsys):
         code, out, _ = run_cli(
@@ -823,3 +827,9 @@ class TestInputCaps:
         code, _, err = run_cli(capsys, "primes", "--count", str(MAX_INERT_COUNT + 1))
         assert code == 2
         assert str(MAX_INERT_COUNT) in err
+
+    def test_tail_limit_above_cap(self, capsys):
+        code, out, err = run_cli(capsys, "density", "m", "--tail-limit", "20000001")
+        assert code == 2
+        assert out == ""
+        assert err == "error: sieve limit capped at 2e7\n"

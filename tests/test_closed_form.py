@@ -1,12 +1,13 @@
 """Closed-form sigma evaluation: witness set, case split, oracle agreement."""
 
 import random
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausspow import closed_form
 from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
@@ -23,7 +24,7 @@ from gausspow.closed_form import (
     sigma_expansion_sweep,
     witness_primes,
 )
-from gausspow.gaussian import GaussianResidue, sigma_brute, sigma_brute_sweep
+from gausspow.gaussian import GaussianResidue, _pow_mod, sigma_brute, sigma_brute_sweep
 from gausspow.power_sums import s_mod_naive
 
 
@@ -320,3 +321,118 @@ class TestOracleStack:
         # independent re-evaluation at scattered larger cells
         for k, n in [(24, 33), (48, 35), (16, 22), (120, 12), (8, 39)]:
             assert sigma_closed(k, n) == sigma_brute(k, n)
+
+
+PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
+
+
+def draw_parts(rng, count):
+    """`count` prime powers q = p^e <= 50 with distinct p, as (p, e) pairs."""
+    parts = []
+    for p in rng.sample(PRIMES_TO_50, count):
+        top = max(e for e in range(1, 7) if p**e <= 50)
+        parts.append((p, rng.randint(1, top)))
+    return parts
+
+
+def draw_k(rng):
+    """k uniform below 1e17, a multiple of 48 * 120 * 360 (p^2 - 1 for
+    p = 7, 11, 19, so rich in witnesses), or odd."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randrange(1, 10**17)
+    if kind == 1:
+        return 48 * 120 * 360 * rng.randint(1, 10**9)
+    return rng.randrange(1, 10**17, 2)
+
+
+def prime_power_sigma(k, p, e):
+    """sigma_k(p^e) mod p^e by brute force over the q x q square, q = p^e.
+
+    Z[i]/q is local (p = 3 mod 4 or p = 2) or a product of two local rings
+    (p = 1 mod 4), so each element is, in each factor, a unit or nilpotent
+    with z^N = 0.  For k >= N, z^k therefore depends on k only through
+    N + (k - N) mod |units|."""
+    q = p**e
+    if p == 2:
+        nil, units = 2 * e, 2 ** (2 * e - 1)
+    elif p % 4 == 3:
+        nil, units = e, (p * p - 1) * p ** (2 * e - 2)
+    else:
+        nil, units = e, ((p - 1) * p ** (e - 1)) ** 2
+    if k >= nil:
+        k = nil + (k - nil) % units
+    re = im = 0
+    for a in range(q):
+        for b in range(q):
+            x, y = _pow_mod(a, b, k, q)
+            re += x
+            im += y
+    return re % q, im % q
+
+
+def crt_sigma(k, parts):
+    """sigma_k(n) mod n, n the product of the parts, by CRT: [1, n]^2 covers
+    each residue pair mod q = p^e exactly (n/q)^2 times, so sigma_k(n) =
+    (n/q)^2 sigma_k(q) (mod q).  Reads no witness prime."""
+    n = prod(p**e for p, e in parts)
+    re = im = 0
+    for p, e in parts:
+        q = p**e
+        m = n // q
+        lift = m * m * m * pow(m, -1, q)  # (n/q)^2, then the CRT basis element
+        x, y = prime_power_sigma(k, p, e)
+        re += x * lift
+        im += y * lift
+    return GaussianResidue(re, im, n)
+
+
+def p_minus_one_witnesses(k, n):
+    """`witness_primes` misread as p - 1 | k, the form the abstract states."""
+    return tuple(p for p, e in factorize(n) if e == 1 and p % 4 == 3 and k % (p - 1) == 0)
+
+
+class TestCrtRoute:
+    """The closed form against a route by CRT over the prime powers of n,
+    on n far beyond the reach of the brute and expansion routes."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = random.Random(20141)
+        cells = [(draw_k(rng), draw_parts(rng, rng.randint(1, 6))) for _ in range(300)]
+        return [(k, crt_sigma(k, parts)) for k, parts in cells]
+
+    def test_prime_power_sigma_matches_brute(self):
+        # the reduced exponent agrees with the unreduced one
+        for q, p, e in ((8, 2, 3), (9, 3, 2), (25, 5, 2), (7, 7, 1)):
+            for k in (1, 2, 3, 8, 47, 48, 96, 97, 120, 241):
+                r = sigma_brute(k, q)
+                assert prime_power_sigma(k, p, e) == (r.re, r.im), (k, q)
+
+    def test_closed_form_matches(self, draws):
+        for k, crt in draws:
+            assert sigma_closed(k, crt.n) == crt, (k, crt.n)
+        assert sum(not crt.is_zero() for _, crt in draws) >= 30
+
+    def test_catches_p_minus_one_reading(self, draws, monkeypatch):
+        monkeypatch.setattr(closed_form, "witness_primes", p_minus_one_witnesses)
+        assert any(sigma_closed(k, crt.n) != crt for k, crt in draws)
+
+    def test_catches_flipped_witness_sign(self, draws):
+        def flipped(k, n):
+            r = sigma_closed(k, n)
+            return GaussianResidue(-r.re, r.im, n)
+
+        assert any(flipped(k, crt.n) != crt for k, crt in draws)
+
+    def test_witness_primes_above_1e12(self):
+        rng = random.Random(20142)
+        for _ in range(100):
+            k, parts = draw_k(rng), []
+            while prod(p**e for p, e in parts) <= 10**12:
+                parts = draw_parts(rng, len(parts) + 1)
+            n = prod(p**e for p, e in parts)
+            expected = sorted(
+                p for p, e in parts if e == 1 and p % 4 == 3 and k % (p * p - 1) == 0
+            )
+            assert witness_primes(k, n) == tuple(expected), (k, parts)

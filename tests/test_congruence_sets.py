@@ -46,6 +46,10 @@ class TestComplementDescriptions:
         assert outside_row_zeros(6, 8) is True  # 6 = 3 * 2 with 9 absent
         assert outside_row_zeros(9, 8) is False  # multiple of 9
 
+    def test_row_rejects_n_zero(self):
+        with pytest.raises(ValueError, match="k and n must be >= 1"):
+            outside_row_zeros(0, 8)
+
     def test_column_examples(self):
         assert not divides_sigma(3, 6)  # odd k > 1, n = 2 mod 4
         assert not divides_sigma(8, 3)  # 8 = 3^2 - 1

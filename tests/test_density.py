@@ -348,6 +348,10 @@ class TestUnionDensity:
         # the union of the two progressions has period lcm(72, 2352) = 7056
         assert sieve_complement_count(7056, (3, 7)) == 7056 * Fraction(101, 3528)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            union_density([])
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             union_density(sieve_inert_primes(MAX_UNION_PRIMES + 1))
@@ -375,6 +379,10 @@ class TestTailBound:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             tail_bound(300, 300)
+
+    def test_sieve_cap(self):
+        with pytest.raises(ValueError, match="sieve limit capped at 2e7"):
+            rounded_tail(263, 2 * 10**7 + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 10**4 - 1), st.integers(1, 10**4))

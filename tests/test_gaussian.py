@@ -59,6 +59,12 @@ class TestResidueRing:
     def test_canonical_range(self):
         r = GaussianResidue(-1, 13, 5)
         assert (r.re, r.im) == (4, 3)
+        assert repr(r) == "GaussianResidue(4, 3, mod 5)"
+
+    def test_equal_residues_hash_equal(self):
+        r, s = GaussianResidue(-1, 13, 5), GaussianResidue(4, 3, 5)
+        assert r == s and hash(r) == hash(s)
+        assert len({r, s, GaussianResidue(4, 3, 7)}) == 2
 
     @given(
         st.integers(0, 50),
@@ -191,3 +197,18 @@ class TestExactSigma:
 @given(st.integers(1, 25), st.integers(1, 25))
 def test_exact_reduces_to_brute(k, n):
     assert _reduce(sigma_exact(k, n), n) == sigma_brute(k, n)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GaussianInt(1, 2) ** -1, "negative powers"),
+        (lambda: GaussianResidue(1, 1, 0), "modulus must be >= 1"),
+        (lambda: sigma_brute(0, 3), "k and n must be >= 1"),
+        (lambda: sigma_exact(0, 2), "k must be >= 1"),
+        (lambda: sigma_exact(1, -1), "m must be >= 0"),
+    ],
+)
+def test_rejects_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

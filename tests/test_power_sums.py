@@ -88,3 +88,16 @@ class TestDividesS:
         for k in range(1, 41):
             for n in range(1, 201):
                 assert vanishing_criterion(k, n) == (s_mod_naive(k, n) == 0), (k, n)
+
+
+@pytest.mark.parametrize(
+    "fn, k, n, message",
+    [
+        (s_mod_naive, 1, 0, "n must be >= 1"),
+        (s_mod_naive, -1, 5, "k must be >= 0"),
+        (s_mod_closed, 1, 0, "n must be >= 1"),
+    ],
+)
+def test_rejects_bad_inputs(fn, k, n, message):
+    with pytest.raises(ValueError, match=message):
+        fn(k, n)
