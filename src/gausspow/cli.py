@@ -4,15 +4,16 @@ Exit codes: 0 success, 1 verified mathematical discrepancy (verify), 2 usage.
 All numeric output is exact or directed-rounded: the density bracket prints
 the exact union density and rounds the tail and the endpoints outward.
 
-Each subcommand and `density` target is one row of `COMMANDS` or
-`DENSITY_TARGETS`, and `_configure` adds its options to the leaf parser and
-to the full parser alike.  A valid command is parsed by its leaf parser alone:
-when `argv` starts with a full subcommand path (`sigma`, ..., `density nk`),
-`main(argv)` builds the one parser that path's subparser would be, with the
-same `prog`, and parses the rest with it.  Every other `argv`, and a leaf
-parse that leaves extras, goes to the full parser, so help and error text are
-the full parser's.  Parsers are built per call and never kept: a shell user
-starts one process per command, so a kept parser would save them nothing.
+Every command is one row of `COMMANDS`, keyed by its command path
+(`("sigma",)`, ..., `("density", "nk")`), and `_configure` adds the row's
+options to the leaf parser and to the full parser alike.  A valid command is
+parsed by its leaf parser alone: when `argv` starts with a command path,
+`main(argv)` looks the path up, builds the one parser that path's subparser
+would be, with the same `prog`, and parses the rest with it into the namespace
+the full parser would return.  Every other `argv`, and a leaf parse that
+leaves extras, goes to the full parser, so help and error text are the full
+parser's.  Parsers are built per call and never kept: a shell user starts one
+process per command, so a kept parser would save them nothing.
 """
 
 from __future__ import annotations
@@ -208,32 +209,34 @@ _REQUIRED_INT = {"type": int, "required": True}
 _DIGITS = ("--digits", {"type": int, "default": 19})
 _TEXT_OR_JSON = ("--format", {"choices": ("text", "json"), "default": "text"})
 
-# Name -> (help line, cmd_* function, [(flag, add_argument keywords), ...]),
-# or for `density` (help line, dest, table of targets): it has subparsers too.
-DENSITY_TARGETS = {
-    "nk": ("zero density of one table row", cmd_density_nk,
-           [("--k", _REQUIRED_INT), _DIGITS, _TEXT_OR_JSON]),
-    "m": ("bracket the diagonal zero density", cmd_density_m,
-          [("--primes", {"type": int, "default": 20}),
-           ("--tail-limit", {"type": int, "default": 10**6}), _DIGITS, _TEXT_OR_JSON]),
-}
+# The dests the full parser stores a command path's words under: the first
+# word as `command`, a `density` target as `target`.
+_DESTS = ("command", "target")
+_DENSITY_HELP = "exact density computations"
+
+# Command path -> (help line, cmd_* function, [(flag, add_argument keywords), ...])
 COMMANDS = {
-    "sigma": ("evaluate the power sum mod n", cmd_sigma,
-              [("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT),
-               ("--method", {"choices": ("closed", "expansion", "brute"),
-                             "default": "closed"})]),
-    "table": ("render the k x n value table", cmd_table,
-              [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT),
-               ("--format", {"choices": ("text", "csv", "json"), "default": "text"})]),
-    "verify": ("sweep all three evaluation routes", cmd_verify,
-               [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT)]),
-    "density": ("exact density computations", "target", DENSITY_TARGETS),
-    "witness": ("smallest diagonal witness prime for n", cmd_witness,
-                [("--n", _REQUIRED_INT)]),
-    "em-search": ("exhaustive equation search", cmd_em_search,
-                  [("--kmax", _REQUIRED_INT), ("--mmax", _REQUIRED_INT)]),
-    "primes": ("list the smallest inert primes", cmd_primes,
-               [("--count", _REQUIRED_INT), _TEXT_OR_JSON]),
+    ("sigma",): ("evaluate the power sum mod n", cmd_sigma,
+                 [("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT),
+                  ("--method", {"choices": ("closed", "expansion", "brute"),
+                                "default": "closed"})]),
+    ("table",): ("render the k x n value table", cmd_table,
+                 [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT),
+                  ("--format", {"choices": ("text", "csv", "json"), "default": "text"})]),
+    ("verify",): ("sweep all three evaluation routes", cmd_verify,
+                  [("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT)]),
+    ("density", "nk"): ("zero density of one table row", cmd_density_nk,
+                        [("--k", _REQUIRED_INT), _DIGITS, _TEXT_OR_JSON]),
+    ("density", "m"): ("bracket the diagonal zero density", cmd_density_m,
+                       [("--primes", {"type": int, "default": 20}),
+                        ("--tail-limit", {"type": int, "default": 10**6}),
+                        _DIGITS, _TEXT_OR_JSON]),
+    ("witness",): ("smallest diagonal witness prime for n", cmd_witness,
+                   [("--n", _REQUIRED_INT)]),
+    ("em-search",): ("exhaustive equation search", cmd_em_search,
+                     [("--kmax", _REQUIRED_INT), ("--mmax", _REQUIRED_INT)]),
+    ("primes",): ("list the smallest inert primes", cmd_primes,
+                  [("--count", _REQUIRED_INT), _TEXT_OR_JSON]),
 }
 
 
@@ -244,53 +247,42 @@ def _configure(parser, func, options) -> None:
     parser.set_defaults(func=func)
 
 
-def _add_commands(parser, dest: str, table: dict) -> None:
-    """Add a subparser to `parser` for every entry of `table`."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for cmd, (help_text, func, options) in table.items():
-        p = sub.add_parser(cmd, help=help_text)
-        if isinstance(options, dict):  # `density`: func is the targets' dest
-            _add_commands(p, func, options)
-        else:
-            _configure(p, func, options)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every subcommand and `density` target."""
+    """The full parser: every command path of `COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="gausspow",
         description="Exact Gaussian-integer power sums mod n, congruence sets, "
         "densities, and equation search.",
     )
-    _add_commands(parser, "command", COMMANDS)
+    # the subparsers of each level, keyed by the path to it
+    levels = {(): parser.add_subparsers(dest=_DESTS[0], required=True)}
+    for path, (help_text, func, options) in COMMANDS.items():
+        if path[:-1] not in levels:  # `density`, at its first target
+            density = levels[()].add_parser(path[0], help=_DENSITY_HELP)
+            levels[path[:-1]] = density.add_subparsers(dest=_DESTS[1], required=True)
+        _configure(levels[path[:-1]].add_parser(path[-1], help=help_text), func, options)
     return parser
 
 
 def _parse_leaf(argv: list) -> argparse.Namespace | None:
-    """The namespace of `argv` parsed by the leaf parser of the full command
-    path it starts with, or None when it names no full path or the leaf
-    leaves extras.
+    """The namespace of `argv` parsed by the leaf parser of the command path
+    it starts with, or None when it starts with no path or the leaf leaves
+    extras.
 
     The leaf is built as its subparser is (same `prog`), and the levels above
-    it hand everything after its name to it, so what it prints and parses is
-    the full parser's.  It sets `target` for a `density` path, as the full
-    parser does, but no `command`; no `cmd_*` reads either.
+    it hand everything after the path to it, so what it prints and parses is
+    the full parser's.  The namespace starts with the path's words under
+    `_DESTS`, so it equals the full parser's.
     """
-    table, dest, namespace = COMMANDS, None, argparse.Namespace()
-    for depth, name in enumerate(argv, start=1):
-        if name not in table:
-            return None
-        if dest:  # the choice made at a level below the root
-            setattr(namespace, dest, name)
-        _, func, options = table[name]
-        if isinstance(options, dict):
-            dest, table = func, options
-            continue
-        parser = argparse.ArgumentParser(prog=" ".join(["gausspow", *argv[:depth]]))
-        _configure(parser, func, options)
-        args, extras = parser.parse_known_args(argv[depth:], namespace)
-        return None if extras else args
-    return None
+    path = next((p for p in (tuple(argv[:1]), tuple(argv[:2])) if p in COMMANDS), None)
+    if path is None:
+        return None
+    _, func, options = COMMANDS[path]
+    parser = argparse.ArgumentParser(prog=" ".join(["gausspow", *path]))
+    _configure(parser, func, options)
+    namespace = argparse.Namespace(**dict(zip(_DESTS, path)))
+    args, extras = parser.parse_known_args(argv[len(path):], namespace)
+    return None if extras else args
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-slow checks (the k, m < 100 search box, about 0.004 s now that the search
-decides each prime's residue filter once per residue class, the 1e8 sieve,
-a few milliseconds now that it marks the lattice n = 24 j, and the 30-prime
-bracket fixture shared by criteria 5, 6 and 8) carry the `slow` marker and
-can be deselected with `-m "not slow"`.
+Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear.  The
+`slow` marker is on criterion 7, the exact tail sum to 1299689 (about 5-6 s on
+a 2-core x86 host), and on criteria 5, 6, 8 and 10, which take milliseconds
+now: the 30-prime bracket fixture they share, the 1e8 sieve on the lattice
+n = 24 j, and the k, m < 100 search box.  `-m "not slow"` deselects them.
 """
 
 import time
@@ -168,6 +167,7 @@ def test_criterion_06_density_bracket(bracket30):
         assert time.perf_counter() - start < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_07_tail_bound():
     with criterion("criterion 7: exact tail sum below 5.3539e-7"):
         start = time.perf_counter()

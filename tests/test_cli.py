@@ -376,9 +376,9 @@ LEAF_EXTRAS_ARGVS = [
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["sig"], ["--k", "1", "sigma"],
     ["-h", "sigma"],
-    *([name, "-h"] for name in COMMANDS),
-    ["density"], ["density", "-h"], ["density", "x"], ["density", "nk", "-h"],
-    ["density", "m", "-h"], ["density", "--k", "8", "nk"],
+    # every level below the root, `density` once per target
+    *([*path[:depth], "-h"] for path in COMMANDS for depth in range(1, len(path) + 1)),
+    ["density"], ["density", "x"], ["density", "--k", "8", "nk"],
     ["density", "nk", "m"],
     ["sigma", "--k", "1"], ["witness"], ["density", "nk"],
     ["sigma", "--k", "x", "--n", "2"], ["density", "nk", "--k", "8.5"],
@@ -426,9 +426,7 @@ class TestParserPaths:
 
     @pytest.mark.parametrize("argv", VALID_ARGVS, ids=argv_id)
     def test_namespace_matches_full_parser(self, argv):
-        full = vars(build_parser().parse_args(argv))
-        assert full.pop("command") == argv[0]
-        assert vars(cli._parse_leaf(argv)) == full
+        assert vars(cli._parse_leaf(argv)) == vars(build_parser().parse_args(argv))
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -457,8 +455,8 @@ class TestParserPaths:
     @pytest.mark.parametrize("argv", LEAF_EXTRAS_ARGVS, ids=argv_id)
     def test_leaf_extras_fall_back_to_full_parser(self, capsys, built, argv):
         assert run_cli(capsys, *argv)[0] == 2
-        # the leaf, then the full tree: root, subcommands and `density` targets
-        full_tree = 1 + len(COMMANDS) + len(cli.DENSITY_TARGETS)
+        # the leaf, then the full tree: a parser per leaf and per level above
+        full_tree = len(COMMANDS) + len({path[:-1] for path in COMMANDS})
         assert built == {"parsers": 1 + full_tree, "build_parser": 1}
 
     def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
@@ -478,9 +476,10 @@ class TestParserPaths:
 
 
 # Per leaf: a minimal valid command line, the namespace it parses to (every
-# default, and `func`), and each option's (flags, type, required, choices,
-# default, dest).  Written out, not read from `cli.COMMANDS`: the tests above
-# build both parsers from that table, so a wrong entry there passes them.
+# default, and `func`; `command` comes from the path), and each option's
+# (flags, type, required, choices, default, dest).  Written out, not read from
+# `cli.COMMANDS`: the tests above build both parsers from that table, so a
+# wrong entry there passes them.
 OPTION_PINS = [
     (
         ["sigma", "--k", "3", "--n", "10"],
@@ -560,8 +559,8 @@ class TestOptionTable:
         ids=[argv_id(argv) for argv, _, _ in OPTION_PINS],
     )
     def test_leaf_is_pinned(self, argv, namespace, options):
-        assert vars(cli._parse_leaf(argv)) == namespace
-        assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **namespace}
+        leaf, full = cli._parse_leaf(argv), build_parser().parse_args(argv)
+        assert vars(leaf) == vars(full) == {"command": argv[0], **namespace}
         # the leaf's subparser in the full parser, read from its actions, not
         # its help text, which differs between Python versions
         parser = build_parser()
@@ -576,10 +575,8 @@ class TestOptionTable:
         assert got == options
 
     def test_every_leaf_is_pinned(self):
-        leaves = [[name] for name in COMMANDS if name != "density"]
-        leaves += [["density", name] for name in cli.DENSITY_TARGETS]
-        pinned = [argv[: 1 + (argv[0] == "density")] for argv, _, _ in OPTION_PINS]
-        assert sorted(pinned) == sorted(leaves)
+        pinned = [tuple(argv[: 1 + (argv[0] == "density")]) for argv, _, _ in OPTION_PINS]
+        assert sorted(pinned) == sorted(COMMANDS)
 
 
 class TestImport:

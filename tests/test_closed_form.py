@@ -231,7 +231,9 @@ class TestExpansionRoute:
         for n, s in enumerate(sums, start=1):
             assert s == _power_sums(k_max, n), n
 
-    @pytest.mark.parametrize("n, k_max", [(1000, 3), (7, 1000), (1, 292)])
+    @pytest.mark.parametrize(
+        "n, k_max", [(1000, 3), pytest.param(7, 1000, marks=pytest.mark.slow), (1, 292)]
+    )
     def test_long_rows_match_summed_oracle(self, n, k_max):
         # every row of the sweep to n, and single cells of its last row
         oracle = summed_expansion_sweep(n, k_max)
@@ -392,6 +394,7 @@ def p_minus_one_witnesses(k, n):
     return tuple(p for p, e in factorize(n) if e == 1 and p % 4 == 3 and k % (p - 1) == 0)
 
 
+@pytest.mark.slow
 class TestCrtRoute:
     """The closed form against a route by CRT over the prime powers of n,
     on n far beyond the reach of the brute and expansion routes."""

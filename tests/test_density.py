@@ -300,6 +300,18 @@ ELL_40 = Fraction(
 )
 
 
+def direct_free_share(fam, c):
+    """free_F(c) counted directly: the share of the multiples n = c t, t in
+    1..L_F/c, that lie in no U_q (q^3 - q | n and q^2 does not divide n) for
+    q in fam, where L_F = lcm(q^4 - q^2), the union's period."""
+    period = lcm(*(q**4 - q**2 for q in fam))
+    hit = set()
+    for q in fam:
+        step = lcm(c, q**3 - q)
+        hit.update(n for n in range(step, period + 1, step) if n % (q * q))
+    return Fraction(period // c - len(hit), period // c)
+
+
 class TestUnionDensity:
     def test_singleton(self):
         assert union_density([3]) == Fraction(1, 36)
@@ -325,6 +337,7 @@ class TestUnionDensity:
             assert v <= sum(witness_density(p) for p in f)
             assert v >= max(witness_density(p) for p in f)
 
+    @pytest.mark.slow
     @settings(deadline=None)
     @given(subfamilies())
     @example(list(FIRST_FORTY[:18]))
@@ -332,6 +345,7 @@ class TestUnionDensity:
     def test_matches_enumeration_on_subfamilies(self, fam):
         assert union_density(fam) == enumerated_union(fam)
 
+    @pytest.mark.slow
     def test_matches_live_part_dp_on_first_primes(self):
         for n in range(1, MAX_UNION_PRIMES + 1):
             fam = FIRST_FORTY[:n]
@@ -340,6 +354,20 @@ class TestUnionDensity:
     def test_matches_enumeration_on_seeded_families(self):
         for fam in seeded_families(25, 200):
             assert union_density(fam) == enumerated_union(fam), fam
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_marginal_of_a_later_prime_is_a_conditioned_free_share(self, size):
+        # for an inert p > max F, d(U_p minus union_F) = free_F(c_p) / (p^2 (p+1))
+        # with c_p = gcd(p^2 - 1, L_F): n mod L_F is uniform on the multiples
+        # of c_p once p^3 - p | n and p^2 does not divide n
+        fam = FIRST_FORTY[:size]
+        period = lcm(*(q**4 - q**2 for q in fam))
+        for p in FIRST_FORTY[size : size + 6]:
+            free = direct_free_share(fam, gcd(p * p - 1, period))
+            marginal = union_density([*fam, p]) - union_density(fam)
+            assert marginal == free * witness_density(p), (fam, p)
+            # the free share is not to be taken from 1 a second time
+            assert marginal != (1 - free) * witness_density(p), (fam, p)
 
     def test_pinned_24_prime_value(self):
         assert union_density(sieve_inert_primes(24)) == ELL_24

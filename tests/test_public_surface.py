@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gausspow
-from gausspow import binomial_sums, congruence_sets, gaussian
+from gausspow import binomial_sums, cli, congruence_sets, gaussian
 
 REMOVED = (
     "lcm_accumulate",
@@ -109,3 +111,31 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(module, func, None)), f"{mod_name}.{func}"
     traced = {f"{m}.{f}" for m, funcs in spans.LAYERS.items() for f in funcs}
     assert set(spans.COUNTERS) <= traced
+
+
+# Per command, layers a traced `main` call must reach.  The tracer rebinds
+# each layer's module-level names, so a layer that `cli` calls through some
+# other reference, such as a dict of functions built at import, drops out.
+TRACED_CALLS = [
+    (["sigma", "--k", "8", "--n", "24"], {"closed_form.sigma_closed", "arith.factorize"}),
+    (["sigma", "--k", "3", "--n", "10", "--method", "expansion"],
+     {"closed_form.sigma_expansion"}),
+    (["witness", "--n", "24"], {"congruence_sets.diagonal_witness"}),
+    (["density", "nk", "--k", "8"], {"density.zero_row_density", "arith.decimal_render"}),
+    (["density", "m", "--primes", "4"],
+     {"density.diagonal_bracket", "density.union_density"}),
+    (["em-search", "--kmax", "5", "--mmax", "5"], {"moser_search.search_solutions"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, layers", TRACED_CALLS, ids=[" ".join(argv) for argv, _ in TRACED_CALLS]
+)
+def test_each_traced_layer_is_seen_through_main(capsys, argv, layers):
+    tracer = _perfbench_spans().Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    summary = tracer.summarize(0, tracer.mark())
+    assert summary["cli.main"]["calls"] == 1
+    assert layers <= set(summary), sorted(layers - set(summary))
