@@ -13,23 +13,26 @@ every filter.  In order, with (m + mi)^k reduced by the same modulus:
     (j >= 2) for k >= 2j, so the search lists them and evaluates nothing;
 (ii) mod each prime p in SIEVE_PRIMES: the sum over r, s mod p of
     c_r c_s (r + si)^k, where c_r counts the 1 <= a <= m-1 with a = r
-    (mod p), against (m + mi)^k, whose residue is itself an entry of the
-    table.  For each k the candidates meet one prime at a time, and the
-    table of (r + si)^k mod p is built by reindexing, with no
-    exponentiation per entry.  The first time a search reaches p it sets up
-    one of two maps.  For p = 3 (mod 4), Z[i]/p is the field F_{p^2}, whose
-    units are the powers g^e of one generator, e mod p^2 - 1; a table of
-    each unit's log e then gives (r + si)^k = g^(e k), and 0^k = 0.  For
-    p = 1 (mod 4), with iota^2 = -1 (mod p), r + si -> (r + s iota,
-    r - s iota) takes Z[i]/p to F_p x F_p, so one row of x^k mod p gives
-    both coordinates.  This filter catches m - 1 = 2^j, where
-    (1 + i)^k = 0 (mod m-1).  Its verdict at p depends on k only through
+    (mod p), against (m + mi)^k, the entry at (m mod p, m mod p).
+    For each k the candidates meet one prime at a time, and each entry is
+    read off the prime's setup, with no exponentiation per entry and no
+    table of powers.  The first time a search reaches p it sets up one of
+    two maps.  For p = 3 (mod 4), Z[i]/p is the field F_{p^2}, whose units
+    are the powers g^e of one generator, e mod p^2 - 1, found by a
+    primitive-root test and listed by one walk; a table of each unit's log
+    e then gives (r + si)^k = g^(e k), and the entry at (0, 0) is skipped,
+    as 0^k = 0.  For p = 1 (mod 4), with iota^2 = -1 (mod p),
+    r + si -> (x, y) = (r + s iota, r - s iota) takes Z[i]/p to F_p x F_p,
+    and back by (x, y) -> ((x + y)/2, (x - y)/(2 iota)); so one row of
+    x^k mod p gives both coordinates, and as the way back is linear, the
+    counted sums of x^k and of y^k are mapped back once, not per entry.
+    This filter catches m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1).
+    Its verdict at p depends on k only through
     kr = (k - 1) mod (p^2 - 1) + 1: for k >= 1 every z^k in Z[i]/p repeats
     with a period dividing p^2 - 1, since the units of F_{p^2} form a group
     of that order, F_p x F_p has exponent p - 1, and 0^k = 0.  It depends on
     m only through (m - 1) mod p^2, which fixes m mod p and every c_r mod p.
-    So the search decides it once per class (p, kr, (m - 1) mod p^2), and
-    builds each (p, kr) table once.
+    So the search decides it once per class (p, kr, (m - 1) mod p^2).
 
 Lemma: a pair with m >= 3 that passes (i) has m - 1 a power of 2.  Write
 n = m - 1 >= 2 and W(k, n) for the witness primes of `closed_form`.  For
@@ -52,9 +55,7 @@ exact comparison decides every survivor.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from .gaussian import GaussianInt, Record, sigma_exact
+from .gaussian import GaussianInt, Record, _pow_mod, sigma_exact
 
 SEARCH_GUARD = 500
 
@@ -74,67 +75,78 @@ class Solution(Record):
         self._set(k, m, value)
 
 
-def _sum_mod_prime(
-    powers: list[list[tuple[int, int]]], m: int, p: int
-) -> tuple[int, int]:
-    """sigma_exact(k, m-1) mod the prime p, from the residue counts of 1..m-1
-    and powers[r][s] = (r + si)^k mod p."""
-    q, t = divmod(m - 1, p)
-    counts = [(r, c) for r in range(p) if (c := q + (1 <= r <= t))]
-    re = im = 0
-    for a, ca in counts:
-        row = powers[a]
-        for b, cb in counts:
-            pre, pim = row[b]
-            re += ca * cb * pre
-            im += ca * cb * pim
-    return re % p, im % p
-
-
-def _power_tables(p: int) -> Callable[[int], list[list[tuple[int, int]]]]:
-    """The map from k >= 1 to the table of (r + si)^k mod the odd prime p,
-    indexed [r][s], with its setup done once for every k."""
+def _prime_setup(p: int) -> tuple:
+    """Filter (ii)'s setup at the odd prime p, made once for every k: for
+    p = 3 (mod 4), (elems, log) with elems[e] = g^e for a generator g of
+    F_{p^2}'s units and log[r][s] the e with g^e = r + si, so that
+    (r + si)^k = elems[log[r][s] * k % (p^2 - 1)] off (0, 0); for p = 1
+    (mod 4), (coords, half, half_iota) with coords[r][s] = (r + s iota,
+    r - s iota) mod p, so that (r + si)^k = ((x^k + y^k) half,
+    (x^k - y^k) half_iota) at (x, y) = coords[r][s]."""
     if p % 4 == 3:
-        # walk each candidate's powers until they return to 1; a generator's
-        # walk lists every unit of F_{p^2}, elems[e] = g^e
+        # a + bi generates the q units of F_{p^2} when (a + bi)^(q/f) != 1
+        # for every f | q with 1 < f < p: those f hold every prime factor of
+        # q = (p - 1)(p + 1), and a composite f adds no condition
         q = p * p - 1
-        for a, b in ((a, b) for b in range(1, p) for a in range(p)):
-            elems = [(1, 0)]
-            re, im = a, b
-            while (re, im) != (1, 0):
-                elems.append((re, im))
-                re, im = (re * a - im * b) % p, (re * b + im * a) % p
-            if len(elems) == q:
-                break
-        log = [[0] * p for _ in range(p)]
-        for e, (re, im) in enumerate(elems):
+        cofactors = [q // f for f in range(2, p) if q % f == 0]
+        a, b = next(
+            (a, b)
+            for b in range(1, p)
+            for a in range(p)
+            if all(_pow_mod(a, b, e, p) != (1, 0) for e in cofactors)
+        )
+        # one walk of its powers lists every unit, elems[e] = g^e, and its log
+        elems, log = [(1, 0)], [[0] * p for _ in range(p)]
+        re, im = a, b
+        for e in range(1, q):
+            elems.append((re, im))
             log[re][im] = e
-
-        def table(k: int) -> list[list[tuple[int, int]]]:
-            rows = [[elems[d * k % q] for d in row] for row in log]
-            rows[0][0] = (0, 0)
-            return rows
-
-        return table
+            re, im = (re * a - im * b) % p, (re * b + im * a) % p
+        return elems, log
     # a quadratic non-residue c has c^((p-1)/2) = -1, so iota = c^((p-1)/4)
     c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     iota = pow(c, (p - 1) // 4, p)
-    half, half_iota = (p + 1) // 2, pow(2 * iota, -1, p)
     coords = [
         [((r + s * iota) % p, (r - s * iota) % p) for s in range(p)] for r in range(p)
     ]
+    return coords, (p + 1) // 2, pow(2 * iota, -1, p)
 
-    def table(k: int) -> list[list[tuple[int, int]]]:
-        pw = [pow(x, k, p) for x in range(p)]
-        return [
-            [
-                ((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p)
-                for x, y in row
-            ]
-            for row in coords
-        ]
 
-    return table
+def _class_sides(setup: tuple, p: int, kr: int, m: int) -> tuple:
+    """Both sides of filter (ii) at p, sigma_exact(k, m-1) and (m + mi)^k
+    mod p with kr = (k - 1) % (p^2 - 1) + 1, as residue pairs: the sum of
+    c_r c_s (r + si)^kr over the residue counts c_r of 1..m-1, each entry
+    read off the prime's setup."""
+    q, t = divmod(m - 1, p)
+    counts = [(r, c) for r in range(p) if (c := q + (1 <= r <= t))]
+    d = m % p
+    if p % 4 == 3:
+        elems, log = setup
+        order = p * p - 1
+        re = im = 0
+        for a, ca in counts:
+            row = log[a]
+            for b, cb in counts:
+                if a or b:  # 0^k = 0
+                    pre, pim = elems[row[b] * kr % order]
+                    re += ca * cb * pre
+                    im += ca * cb * pim
+        rhs = elems[log[d][d] * kr % order] if d else (0, 0)
+        return (re % p, im % p), rhs
+    # the map (x, y) -> ((x + y) half, (x - y) half_iota) back to Z[i]/p is
+    # linear, so the counted sums of x^kr and y^kr are mapped once
+    coords, half, half_iota = setup
+    pw = [pow(x, kr, p) for x in range(p)]
+    u = v = 0
+    for a, ca in counts:
+        row = coords[a]
+        for b, cb in counts:
+            x, y = row[b]
+            u += ca * cb * pw[x]
+            v += ca * cb * pw[y]
+    x, y = coords[d][d]
+    lhs = (u + v) * half % p, (u - v) * half_iota % p
+    return lhs, ((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p)
 
 
 def _first_filter(k: int, m_max: int) -> list[int]:
@@ -148,17 +160,15 @@ def _first_filter(k: int, m_max: int) -> list[int]:
 def _passes(seen: dict, p: int, kr: int, m: int) -> bool:
     """Filter (ii) at p for one pair (k, m), with kr = (k - 1) % (p^2 - 1) + 1:
     whether sigma_exact(k, m-1) = (m + mi)^k (mod p).  seen holds, under the
-    keys p, (p, kr) and (p, kr, (m - 1) % p^2), the prime's setup, its table
-    of kr-th powers and the verdict of the class, each made once."""
+    keys p and (p, kr, (m - 1) % p^2), the prime's setup and the verdict of
+    the class, each made once."""
     key = (p, kr, (m - 1) % (p * p))
     verdict = seen.get(key)
     if verdict is None:
-        if (p, kr) not in seen:
-            if p not in seen:
-                seen[p] = _power_tables(p)
-            seen[p, kr] = seen[p](kr)
-        powers = seen[p, kr]
-        verdict = seen[key] = _sum_mod_prime(powers, m, p) == powers[m % p][m % p]
+        if p not in seen:
+            seen[p] = _prime_setup(p)
+        lhs, rhs = _class_sides(seen[p], p, kr, m)
+        verdict = seen[key] = lhs == rhs
     return verdict
 
 
@@ -169,13 +179,13 @@ def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     Each pair must pass every residue filter before its exact equality check.
     For each k the survivors of filter (i) meet the primes of filter (ii) in
     turn, so a rejected pair pays only for those it reached, and each prime's
-    verdict is decided once per residue class of (k, m - 1), from a table of
-    powers built once per class of k and a setup per prime that serves every k.
+    verdict is decided once per residue class of (k, m - 1), from a setup per
+    prime that serves every k.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
     found = []
-    seen = {}  # filter (ii)'s setups, tables and verdicts, local to the call
+    seen = {}  # filter (ii)'s setups and verdicts, local to the call
     for k in range(1, k_max):
         ms = _first_filter(k, m_max)
         for p in SIEVE_PRIMES:

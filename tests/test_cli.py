@@ -376,8 +376,13 @@ LEAF_EXTRAS_ARGVS = [
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["sig"], ["--k", "1", "sigma"],
     ["-h", "sigma"],
-    # every level below the root, `density` once per target
-    *([*path[:depth], "-h"] for path in COMMANDS for depth in range(1, len(path) + 1)),
+    # every level below the root, each once: `density` heads two paths
+    *(
+        [*prefix, "-h"]
+        for prefix in dict.fromkeys(
+            path[:depth] for path in COMMANDS for depth in range(1, len(path) + 1)
+        )
+    ),
     ["density"], ["density", "x"], ["density", "--k", "8", "nk"],
     ["density", "nk", "m"],
     ["sigma", "--k", "1"], ["witness"], ["density", "nk"],

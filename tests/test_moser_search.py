@@ -18,10 +18,10 @@ from gausspow.moser_search import (
     SEARCH_GUARD,
     SIEVE_PRIMES,
     Solution,
+    _class_sides,
     _first_filter,
     _passes,
-    _power_tables,
-    _sum_mod_prime,
+    _prime_setup,
     search_solutions,
 )
 
@@ -94,9 +94,42 @@ def pow_mod_table(k, p):
     return [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
 
 
+def power_table(setup, p, k):
+    """The table route, the oracle for `_class_sides`: the p x p table of
+    (r + si)^k mod p for k >= 1, each entry read off the prime's setup by
+    the map that `_class_sides` reads its entries by."""
+    if p % 4 == 3:
+        elems, log = setup
+        rows = [[elems[d * k % (p * p - 1)] for d in row] for row in log]
+        rows[0][0] = (0, 0)
+        return rows
+    coords, half, half_iota = setup
+    pw = [pow(x, k, p) for x in range(p)]
+    return [
+        [((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p) for x, y in row]
+        for row in coords
+    ]
+
+
+def sum_mod_prime(powers, m, p):
+    """sigma_exact(k, m-1) mod the prime p, from the residue counts of 1..m-1
+    and powers[r][s] = (r + si)^k mod p."""
+    q, t = divmod(m - 1, p)
+    counts = [(r, c) for r in range(p) if (c := q + (1 <= r <= t))]
+    re = im = 0
+    for a, ca in counts:
+        row = powers[a]
+        for b, cb in counts:
+            pre, pim = row[b]
+            re += ca * cb * pre
+            im += ca * cb * pim
+    return re % p, im % p
+
+
 # the odd primes to 31: the sieve primes, and 13, 29 and 31, so both branches
 # are also tested at primes the search does not use
 TABLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+SETUPS = {p: _prime_setup(p) for p in TABLE_PRIMES}
 
 
 class TestPowerTables:
@@ -105,8 +138,7 @@ class TestPowerTables:
         # its wrap, k = 1..2(p^2 - 1) + 1, for p <= 11, and for the larger
         # primes the wrap points k = 0, 1 (mod p^2 - 1) and sampled k
         rng = random.Random(22)
-        for p in TABLE_PRIMES:
-            table = _power_tables(p)
+        for p, setup in SETUPS.items():
             q = p * p - 1
             if p <= 11:
                 ks = range(1, 2 * q + 2)
@@ -114,16 +146,15 @@ class TestPowerTables:
                 ks = [1, 2, q - 1, q, q + 1, 2 * q, 2 * q + 1, 3 * q + 1]
                 ks += rng.sample(range(3, 10 * q), 12)
             for k in ks:
-                assert table(k) == pow_mod_table(k, p), (p, k)
+                assert power_table(setup, p, k) == pow_mod_table(k, p), (p, k)
 
     def test_zero_and_zero_divisors(self):
         # 0^k = 0 in both branches; at a split prime the zero divisors
         # r = +-s iota have powers that are nonzero zero divisors again
-        for p in TABLE_PRIMES:
-            table = _power_tables(p)
+        for p, setup in SETUPS.items():
             q = p * p - 1
             for k in (1, 2, q - 1, q, q + 1):
-                rows = table(k)
+                rows = power_table(setup, p, k)
                 assert rows[0][0] == (0, 0), (p, k)
                 if p % 4 == 3:
                     continue
@@ -138,34 +169,53 @@ class TestPowerTables:
 
 def verdict_sides(powers, m, p):
     """Both sides of filter (ii) at p for m, from the table of k-th powers."""
-    return _sum_mod_prime(powers, m, p), powers[m % p][m % p]
+    return sum_mod_prime(powers, m, p), powers[m % p][m % p]
 
 
 class TestResidueClasses:
     def test_sides_are_periodic_in_k_and_m(self):
         # filter (ii) at p reads k >= 1 only mod p^2 - 1 and m only through
         # (m - 1) mod p^2: both sides are unchanged by k -> k + p^2 - 1 and
-        # by m -> m + p^2, also at k = p^2 - 1, whose exponent class is 0
+        # by m -> m + p^2, also at k = p^2 - 1, whose exponent class is 0;
+        # the class's sides are those of every pair in it
         rng = random.Random(23)
-        for p in TABLE_PRIMES:
-            table = _power_tables(p)
+        for p, setup in SETUPS.items():
             q = p * p - 1
             ks = [1, 2, q - 1, q] + rng.sample(range(3, q - 1), 4)
             ms = [2, 3, p, p + 1, p * p, p * p + 1] + rng.sample(range(4, SEARCH_GUARD), 6)
             for k in ks:
-                powers, shifted = table(k), table(k + q)
+                powers, shifted = power_table(setup, p, k), power_table(setup, p, k + q)
                 for m in ms:
                     sides = verdict_sides(powers, m, p)
                     assert verdict_sides(shifted, m, p) == sides, (p, k, m)
                     assert verdict_sides(powers, m + p * p, p) == sides, (p, k, m)
+                    assert _class_sides(setup, p, k, m + p * p) == sides, (p, k, m)
+
+    def test_class_sides_match_the_table_route(self):
+        # every class (kr, (m - 1) mod p^2) for p <= 11, and seeded classes
+        # for the larger primes, against the sum over the table of kr-th
+        # powers; m runs to p^2 + 1, so q = (m - 1) // p takes 0..p and each
+        # t = (m - 1) % p meets q = 0, where row 0 is counted out, and q > 0
+        rng = random.Random(2311)
+        for p, setup in SETUPS.items():
+            q = p * p - 1
+            if p <= 11:
+                krs, ms = range(1, q + 1), range(2, p * p + 2)
+            else:
+                krs = [1, q] + rng.sample(range(2, q), 6)
+                ms = [2, p, p + 1, p * p + 1] + rng.sample(range(3, p * p + 1), 8)
+            for kr in krs:
+                powers = power_table(setup, p, kr)
+                for m in ms:
+                    sides = _class_sides(setup, p, kr, m)
+                    assert sides == verdict_sides(powers, m, p), (p, kr, m)
 
     def test_class_verdict_matches_direct_verdict(self):
         # one verdict cache per prime, shared by pairs of the same class
         # (k, k + q, k + 2q, and m + p^2 below the guard) met in random
         # order, against the verdict read off the table of the unreduced k
         rng = random.Random(2323)
-        for p in TABLE_PRIMES:
-            table = _power_tables(p)
+        for p, setup in SETUPS.items():
             q = p * p - 1
             pairs = []
             for k in [q] + [rng.randrange(1, q) for _ in range(11)]:
@@ -176,7 +226,7 @@ class TestResidueClasses:
             rng.shuffle(pairs)
             seen = {}
             for k, m in pairs:
-                sums, rhs = verdict_sides(table(k), m, p)
+                sums, rhs = verdict_sides(power_table(setup, p, k), m, p)
                 assert _passes(seen, p, (k - 1) % q + 1, m) == (sums == rhs), (p, k, m)
 
 
@@ -185,12 +235,12 @@ class TestSieve:
         # every filter must compare sigma_exact(k, m-1) reduced by its
         # modulus with (m + mi)^k, or it could reject a true solution;
         # filter (i) is the lemma's set, filter (ii) reads both sides off
-        # the table of (r + si)^k mod p
+        # its class, and the table route reads them off the table of
+        # (r + si)^k mod p
         sums = list(exact_square_sweep(38, 39))  # sums[m-2][k-1]
-        builders = {p: _power_tables(p) for p in TABLE_PRIMES}
         for k in range(1, 40):
             passed = _first_filter(k, 40)
-            tables = {p: table(k) for p, table in builders.items()}
+            tables = {p: power_table(setup, p, k) for p, setup in SETUPS.items()}
             for m in range(2, 40):
                 re, im = sums[m - 2][k - 1]
                 rhs_re, rhs_im = _pow_exact(m, m, k)
@@ -198,9 +248,10 @@ class TestSieve:
                 first = (rhs_re % n, rhs_im % n) == (re % n, im % n)
                 assert first == (m in passed), (k, m)
                 for p, powers in tables.items():
-                    assert _sum_mod_prime(powers, m, p) == (re % p, im % p), (k, m, p)
-                    rhs = (rhs_re % p, rhs_im % p)
-                    assert powers[m % p][m % p] == rhs, (k, m, p)
+                    sides = (re % p, im % p), (rhs_re % p, rhs_im % p)
+                    assert verdict_sides(powers, m, p) == sides, (k, m, p)
+                    kr = (k - 1) % (p * p - 1) + 1
+                    assert _class_sides(SETUPS[p], p, kr, m) == sides, (k, m, p)
 
     def test_first_filter_is_the_closed_form_reading(self):
         # the lemma's set against filter (i) read off the paper's closed
@@ -233,28 +284,28 @@ class TestSieve:
         # every survivor of filter (i), so a search that lists a wrong set
         # there or skips a prime changes the chain, though its output is the
         # same (2, 3) on every box; and the residue classes among them whose
-        # verdict is evaluated, each once, so a search that keys its classes
+        # sides are evaluated, each once, so a search that keys its classes
         # too finely or too coarsely changes those counts
         classes = {
             (SEARCH_GUARD, SEARCH_GUARD): [48, 123, 108, 75, 35, 6, 2],
             (100, 60): [44, 81, 84, 33, 2, 1, 1],
         }[box]
         pairs = dict.fromkeys(SIEVE_PRIMES, 0)
-        sums = dict.fromkeys(SIEVE_PRIMES, 0)
+        evaluated = dict.fromkeys(SIEVE_PRIMES, 0)
 
         def pair_recorder(seen, p, kr, m):
             pairs[p] += 1
             return _passes(seen, p, kr, m)
 
-        def sum_recorder(powers, m, p):
-            sums[p] += 1
-            return _sum_mod_prime(powers, m, p)
+        def class_recorder(setup, p, kr, m):
+            evaluated[p] += 1
+            return _class_sides(setup, p, kr, m)
 
         monkeypatch.setattr(moser_search, "_passes", pair_recorder)
-        monkeypatch.setattr(moser_search, "_sum_mod_prime", sum_recorder)
+        monkeypatch.setattr(moser_search, "_class_sides", class_recorder)
         assert [(s.k, s.m) for s in search_solutions(*box)] == [(2, 3)]
         assert list(pairs.values()) == chain
-        assert list(sums.values()) == classes
+        assert list(evaluated.values()) == classes
 
     def test_oracle_matches_direct_sums(self):
         sums = list(exact_square_sweep(11, 7))
