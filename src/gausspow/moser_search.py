@@ -16,16 +16,17 @@ every filter.  In order, with (m + mi)^k reduced by the same modulus:
     (mod p), against (m + mi)^k, the entry at (m mod p, m mod p).
     For each k the candidates meet one prime at a time, and each entry is
     read off the prime's setup, with no exponentiation per entry and no
-    table of powers.  The first time a search reaches p it sets up one of
-    two maps.  For p = 3 (mod 4), Z[i]/p is the field F_{p^2}, whose units
-    are the powers g^e of one generator, e mod p^2 - 1, found by a
-    primitive-root test and listed by one walk; a table of each unit's log
+    table of powers.  A search sets up each prime once, before its first k,
+    with one of two maps.  For p = 3 (mod 4), Z[i]/p is the field F_{p^2},
+    whose units are the powers g^e of one generator, e mod p^2 - 1, found by
+    a primitive-root test and listed by one walk; a table of each unit's log
     e then gives (r + si)^k = g^(e k), and the entry at (0, 0) is skipped,
-    as 0^k = 0.  For p = 1 (mod 4), with iota^2 = -1 (mod p),
-    r + si -> (x, y) = (r + s iota, r - s iota) takes Z[i]/p to F_p x F_p,
-    and back by (x, y) -> ((x + y)/2, (x - y)/(2 iota)); so one row of
-    x^k mod p gives both coordinates, and as the way back is linear, the
-    counted sums of x^k and of y^k are mapped back once, not per entry.
+    as 0^k = 0.  For p = 1 (mod 4), with iota^2 = -1 (mod p), the ring
+    isomorphism r + si -> (x, y) = (r + s iota, r - s iota) takes Z[i]/p to
+    F_p x F_p, where sums and products are taken coordinate by coordinate;
+    so (r + si)^k has the coordinates (x^k, y^k), one row of x^k mod p gives
+    both, and the two sides are compared in these coordinates, as they are
+    equal in Z[i]/p exactly when their coordinates are.
     This filter catches m - 1 = 2^j, where (1 + i)^k = 0 (mod m-1).
     Its verdict at p depends on k only through
     kr = (k - 1) mod (p^2 - 1) + 1: for k >= 1 every z^k in Z[i]/p repeats
@@ -75,14 +76,14 @@ class Solution(Record):
         self._set(k, m, value)
 
 
-def _prime_setup(p: int) -> tuple:
+def _prime_setup(p: int) -> tuple | list:
     """Filter (ii)'s setup at the odd prime p, made once for every k: for
     p = 3 (mod 4), (elems, log) with elems[e] = g^e for a generator g of
     F_{p^2}'s units and log[r][s] the e with g^e = r + si, so that
     (r + si)^k = elems[log[r][s] * k % (p^2 - 1)] off (0, 0); for p = 1
-    (mod 4), (coords, half, half_iota) with coords[r][s] = (r + s iota,
-    r - s iota) mod p, so that (r + si)^k = ((x^k + y^k) half,
-    (x^k - y^k) half_iota) at (x, y) = coords[r][s]."""
+    (mod 4), coords with coords[r][s] = (x, y) = (r + s iota, r - s iota)
+    mod p, the coordinates of r + si in F_p x F_p, so that (r + si)^k has
+    the coordinates (x^k, y^k)."""
     if p % 4 == 3:
         # a + bi generates the q units of F_{p^2} when (a + bi)^(q/f) != 1
         # for every f | q with 1 < f < p: those f hold every prime factor of
@@ -106,17 +107,18 @@ def _prime_setup(p: int) -> tuple:
     # a quadratic non-residue c has c^((p-1)/2) = -1, so iota = c^((p-1)/4)
     c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     iota = pow(c, (p - 1) // 4, p)
-    coords = [
+    return [
         [((r + s * iota) % p, (r - s * iota) % p) for s in range(p)] for r in range(p)
     ]
-    return coords, (p + 1) // 2, pow(2 * iota, -1, p)
 
 
-def _class_sides(setup: tuple, p: int, kr: int, m: int) -> tuple:
+def _class_sides(setup: tuple | list, p: int, kr: int, m: int) -> tuple:
     """Both sides of filter (ii) at p, sigma_exact(k, m-1) and (m + mi)^k
-    mod p with kr = (k - 1) % (p^2 - 1) + 1, as residue pairs: the sum of
+    mod p with kr = (k - 1) % (p^2 - 1) + 1, as residue pairs in the
+    prime's setup's coordinates: (re, im) in F_{p^2} for p = 3 (mod 4), and
+    (x, y) in F_p x F_p for p = 1 (mod 4).  The left side is the sum of
     c_r c_s (r + si)^kr over the residue counts c_r of 1..m-1, each entry
-    read off the prime's setup."""
+    read off the setup."""
     q, t = divmod(m - 1, p)
     counts = [(r, c) for r in range(p) if (c := q + (1 <= r <= t))]
     d = m % p
@@ -133,20 +135,16 @@ def _class_sides(setup: tuple, p: int, kr: int, m: int) -> tuple:
                     im += ca * cb * pim
         rhs = elems[log[d][d] * kr % order] if d else (0, 0)
         return (re % p, im % p), rhs
-    # the map (x, y) -> ((x + y) half, (x - y) half_iota) back to Z[i]/p is
-    # linear, so the counted sums of x^kr and y^kr are mapped once
-    coords, half, half_iota = setup
     pw = [pow(x, kr, p) for x in range(p)]
     u = v = 0
     for a, ca in counts:
-        row = coords[a]
+        row = setup[a]
         for b, cb in counts:
             x, y = row[b]
             u += ca * cb * pw[x]
             v += ca * cb * pw[y]
-    x, y = coords[d][d]
-    lhs = (u + v) * half % p, (u - v) * half_iota % p
-    return lhs, ((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p)
+    x, y = setup[d][d]
+    return (u % p, v % p), (pw[x], pw[y])
 
 
 def _first_filter(k: int, m_max: int) -> list[int]:
@@ -157,18 +155,16 @@ def _first_filter(k: int, m_max: int) -> list[int]:
     return [m for m in ms if m < m_max]
 
 
-def _passes(seen: dict, p: int, kr: int, m: int) -> bool:
-    """Filter (ii) at p for one pair (k, m), with kr = (k - 1) % (p^2 - 1) + 1:
-    whether sigma_exact(k, m-1) = (m + mi)^k (mod p).  seen holds, under the
-    keys p and (p, kr, (m - 1) % p^2), the prime's setup and the verdict of
-    the class, each made once."""
+def _passes(verdicts: dict, setup: tuple | list, p: int, kr: int, m: int) -> bool:
+    """Filter (ii) at p for one pair (k, m), with kr = (k - 1) % (p^2 - 1) + 1
+    and the prime's setup: whether sigma_exact(k, m-1) = (m + mi)^k (mod p).
+    verdicts holds the verdict of each class (p, kr, (m - 1) % p^2), made
+    once."""
     key = (p, kr, (m - 1) % (p * p))
-    verdict = seen.get(key)
+    verdict = verdicts.get(key)
     if verdict is None:
-        if p not in seen:
-            seen[p] = _prime_setup(p)
-        lhs, rhs = _class_sides(seen[p], p, kr, m)
-        verdict = seen[key] = lhs == rhs
+        lhs, rhs = _class_sides(setup, p, kr, m)
+        verdict = verdicts[key] = lhs == rhs
     return verdict
 
 
@@ -180,19 +176,20 @@ def search_solutions(k_max: int, m_max: int) -> list[Solution]:
     For each k the survivors of filter (i) meet the primes of filter (ii) in
     turn, so a rejected pair pays only for those it reached, and each prime's
     verdict is decided once per residue class of (k, m - 1), from a setup per
-    prime that serves every k.
+    prime made once for every k.
     """
     if not 1 <= k_max <= SEARCH_GUARD or not 1 <= m_max <= SEARCH_GUARD:
         raise ValueError(f"k_max and m_max must be in [1, {SEARCH_GUARD}]")
     found = []
-    seen = {}  # filter (ii)'s setups and verdicts, local to the call
+    setups = [(p, _prime_setup(p)) for p in SIEVE_PRIMES]
+    verdicts = {}  # filter (ii)'s class verdicts, local to the call
     for k in range(1, k_max):
         ms = _first_filter(k, m_max)
-        for p in SIEVE_PRIMES:
+        for p, setup in setups:
             if not ms:
                 break
             kr = (k - 1) % (p * p - 1) + 1
-            ms = [m for m in ms if _passes(seen, p, kr, m)]
+            ms = [m for m in ms if _passes(verdicts, setup, p, kr, m)]
         for m in ms:
             lhs = sigma_exact(k, m - 1)
             if lhs == GaussianInt(m, m) ** k:

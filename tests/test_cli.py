@@ -202,6 +202,14 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--kmax", "2", "--nmax", "301")
         assert code == 2
 
+    def test_empty_range(self, capsys):
+        # kmax or nmax below 1 has no cell to verify, though it meets the
+        # work bound
+        for kmax, nmax in (("0", "5"), ("5", "0"), ("-1", "-1")):
+            code, out, err = run_cli(capsys, "verify", "--kmax", kmax, "--nmax", nmax)
+            assert (code, out) == (2, "")
+            assert "kmax >= 1 and nmax >= 1" in err
+
     def test_class_rows_match_each_row(self):
         # verify and table read row k from its class; brute and expansion
         # still run every k, so a wrong key would also show as a MISMATCH
@@ -717,11 +725,12 @@ class TestInputCaps:
             assert str(MAX_EXPANSION_K) in err
 
     def test_verify_above_cap(self, capsys):
+        # the work bound holds kmax to 291 at nmax = 1, below the expansion cap
         code, _, err = run_cli(
             capsys, "verify", "--kmax", str(MAX_EXPANSION_K + 1), "--nmax", "1"
         )
         assert code == 2
-        assert str(MAX_EXPANSION_K) in err
+        assert str(MAX_VERIFY_WORK) in err
 
     # kmax = 1 gives the verify bound its largest nmax, 291; the slowest
     # accepted inputs lie near kmax = 30-48, at about 0.075 s for the command

@@ -94,26 +94,36 @@ def pow_mod_table(k, p):
     return [[_pow_mod(r, s, k, p) for s in range(p)] for r in range(p)]
 
 
+def in_coords(setup, p, pair):
+    """The residue re + im i mod p in the coordinates of the prime's setup:
+    itself at p = 3 (mod 4), (re + im iota, re - im iota) mod p at p = 1
+    (mod 4), with iota = coords[0][1][0]."""
+    re, im = pair
+    if p % 4 == 3:
+        return re % p, im % p
+    iota = setup[0][1][0]
+    return (re + im * iota) % p, (re - im * iota) % p
+
+
 def power_table(setup, p, k):
     """The table route, the oracle for `_class_sides`: the p x p table of
-    (r + si)^k mod p for k >= 1, each entry read off the prime's setup by
-    the map that `_class_sides` reads its entries by."""
+    (r + si)^k mod p for k >= 1 in the prime's coordinates, each entry read
+    off the prime's setup by the map that `_class_sides` reads its entries
+    by."""
     if p % 4 == 3:
         elems, log = setup
         rows = [[elems[d * k % (p * p - 1)] for d in row] for row in log]
         rows[0][0] = (0, 0)
         return rows
-    coords, half, half_iota = setup
     pw = [pow(x, k, p) for x in range(p)]
-    return [
-        [((pw[x] + pw[y]) * half % p, (pw[x] - pw[y]) * half_iota % p) for x, y in row]
-        for row in coords
-    ]
+    return [[(pw[x], pw[y]) for x, y in row] for row in setup]
 
 
 def sum_mod_prime(powers, m, p):
     """sigma_exact(k, m-1) mod the prime p, from the residue counts of 1..m-1
-    and powers[r][s] = (r + si)^k mod p."""
+    and powers[r][s] = (r + si)^k mod p, summed pair by pair; the prime's
+    coordinates are linear in (re, im), so the sum is in the coordinates
+    the powers are in."""
     q, t = divmod(m - 1, p)
     counts = [(r, c) for r in range(p) if (c := q + (1 <= r <= t))]
     re = im = 0
@@ -146,11 +156,15 @@ class TestPowerTables:
                 ks = [1, 2, q - 1, q, q + 1, 2 * q, 2 * q + 1, 3 * q + 1]
                 ks += rng.sample(range(3, 10 * q), 12)
             for k in ks:
-                assert power_table(setup, p, k) == pow_mod_table(k, p), (p, k)
+                exact = [
+                    [in_coords(setup, p, z) for z in row] for row in pow_mod_table(k, p)
+                ]
+                assert power_table(setup, p, k) == exact, (p, k)
 
     def test_zero_and_zero_divisors(self):
         # 0^k = 0 in both branches; at a split prime the zero divisors
-        # r = +-s iota have powers that are nonzero zero divisors again
+        # r = +-s iota have powers that are nonzero zero divisors again:
+        # one coordinate is 0, as their product is the norm r^2 + s^2
         for p, setup in SETUPS.items():
             q = p * p - 1
             for k in (1, 2, q - 1, q, q + 1):
@@ -161,10 +175,32 @@ class TestPowerTables:
                 iota = next(x for x in range(p) if x * x % p == p - 1)
                 for s in range(1, p):
                     for r in (s * iota % p, -s * iota % p):
-                        re, im = rows[r][s]
-                        assert (re, im) == _pow_mod(r, s, k, p), (p, k, r, s)
-                        assert (re, im) != (0, 0)
-                        assert (re * re + im * im) % p == 0, (p, k, r, s)
+                        x, y = rows[r][s]
+                        assert (x, y) == in_coords(setup, p, _pow_mod(r, s, k, p))
+                        assert (x, y) != (0, 0)
+                        assert x * y % p == 0, (p, k, r, s)
+
+    def test_split_coordinates_are_a_ring_isomorphism(self):
+        # the fact the coordinate verdict rests on: at each split prime,
+        # coords hits every pair of F_p x F_p once and carries 1, sums and
+        # products in Z[i]/p to coordinatewise ones, so two sides are equal
+        # in Z[i]/p exactly when their coordinates are
+        for p, coords in SETUPS.items():
+            if p % 4 == 3:
+                continue
+            elements = [(r, s) for r in range(p) for s in range(p)]
+            assert sorted(coords[r][s] for r, s in elements) == [
+                (x, y) for x in range(p) for y in range(p)
+            ], p
+            assert coords[1][0] == (1, 1), p
+            for r, s in elements:
+                x, y = coords[r][s]
+                for a, b in elements:
+                    u, v = coords[a][b]
+                    total = coords[(r + a) % p][(s + b) % p]
+                    product = coords[(r * a - s * b) % p][(r * b + s * a) % p]
+                    assert total == ((x + u) % p, (y + v) % p), (p, r, s, a, b)
+                    assert product == (x * u % p, y * v % p), (p, r, s, a, b)
 
 
 def verdict_sides(powers, m, p):
@@ -224,10 +260,11 @@ class TestResidueClasses:
                 if m + p * p < SEARCH_GUARD:
                     pairs += [(k + j * q, m + p * p) for j in range(3)]
             rng.shuffle(pairs)
-            seen = {}
+            verdicts = {}
             for k, m in pairs:
                 sums, rhs = verdict_sides(power_table(setup, p, k), m, p)
-                assert _passes(seen, p, (k - 1) % q + 1, m) == (sums == rhs), (p, k, m)
+                kr = (k - 1) % q + 1
+                assert _passes(verdicts, setup, p, kr, m) == (sums == rhs), (p, k, m)
 
 
 class TestSieve:
@@ -236,7 +273,7 @@ class TestSieve:
         # modulus with (m + mi)^k, or it could reject a true solution;
         # filter (i) is the lemma's set, filter (ii) reads both sides off
         # its class, and the table route reads them off the table of
-        # (r + si)^k mod p
+        # (r + si)^k mod p, each in the prime's coordinates
         sums = list(exact_square_sweep(38, 39))  # sums[m-2][k-1]
         for k in range(1, 40):
             passed = _first_filter(k, 40)
@@ -248,10 +285,12 @@ class TestSieve:
                 first = (rhs_re % n, rhs_im % n) == (re % n, im % n)
                 assert first == (m in passed), (k, m)
                 for p, powers in tables.items():
-                    sides = (re % p, im % p), (rhs_re % p, rhs_im % p)
+                    setup = SETUPS[p]
+                    lhs = in_coords(setup, p, (re, im))
+                    sides = lhs, in_coords(setup, p, (rhs_re, rhs_im))
                     assert verdict_sides(powers, m, p) == sides, (k, m, p)
                     kr = (k - 1) % (p * p - 1) + 1
-                    assert _class_sides(SETUPS[p], p, kr, m) == sides, (k, m, p)
+                    assert _class_sides(setup, p, kr, m) == sides, (k, m, p)
 
     def test_first_filter_is_the_closed_form_reading(self):
         # the lemma's set against filter (i) read off the paper's closed
@@ -293,9 +332,9 @@ class TestSieve:
         pairs = dict.fromkeys(SIEVE_PRIMES, 0)
         evaluated = dict.fromkeys(SIEVE_PRIMES, 0)
 
-        def pair_recorder(seen, p, kr, m):
+        def pair_recorder(verdicts, setup, p, kr, m):
             pairs[p] += 1
-            return _passes(seen, p, kr, m)
+            return _passes(verdicts, setup, p, kr, m)
 
         def class_recorder(setup, p, kr, m):
             evaluated[p] += 1
