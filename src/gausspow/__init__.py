@@ -16,7 +16,7 @@ from .closed_form import (
     sigma_expansion,
     witness_primes,
 )
-from .congruence_sets import diagonal_witness, divides_sigma, outside_row_zeros
+from .congruence_sets import diagonal_witness, divides_sigma
 from .density import (
     DiagonalBracket,
     diagonal_bracket,
@@ -46,7 +46,6 @@ __all__ = [
     "factorize",
     "hermite_sum",
     "intersection_density",
-    "outside_row_zeros",
     "row_witness_primes",
     "s_mod_closed",
     "s_mod_naive",

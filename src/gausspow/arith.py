@@ -29,6 +29,9 @@ RHO_BATCH = 64
 # 2,747,671, found by one sieve to 3.6e6 in about 0.05 s on a 2-core x86 host.
 MAX_INERT_COUNT = 10**5
 
+# Most digits `decimal_render` prints after the point.
+MAX_DIGITS = 200
+
 
 def _prime_flags(n: int) -> bytearray:
     """Byte sieve with flags[i] == 1 exactly when i <= n is prime (n >= 2).
@@ -171,14 +174,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return pairs + sorted(exponents.items())
 
 
+def check_digits(digits: int) -> None:
+    """Refuse a digit count `decimal_render` cannot print."""
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be in [1, {MAX_DIGITS}]")
+
+
 def decimal_render(q: Fraction, digits: int, direction: str = "down") -> str:
     """Exact decimal expansion of q with directed rounding, no floating point.
 
     "down" truncates toward -infinity, "up" rounds toward +infinity, so for
     any q:  down-render <= q <= up-render, with gap at most 10^-digits.
     """
-    if not 1 <= digits <= 200:
-        raise ValueError("digits must be in [1, 200]")
+    check_digits(digits)
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     scale = 10**digits

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .arith import decimal_render, sieve_inert_primes
+from .arith import check_digits, decimal_render, sieve_inert_primes
 from .closed_form import (
     row_class, sigma_closed, sigma_closed_row, sigma_expansion, sigma_expansion_sweep,
 )
@@ -142,7 +142,6 @@ def cmd_verify(args) -> int:
 
 def cmd_density_nk(args) -> int:
     q = zero_row_density(args.k)
-    # render first: a rejected digit count must leave stdout empty
     decimal = decimal_render(q, args.digits, "down")
     fraction = f"{q.numerator}/{q.denominator}"
     if args.format == "json":
@@ -291,6 +290,8 @@ def main(argv=None) -> int:
     if args is None:  # the root and `density` levels' help and errors
         args = build_parser().parse_args(argv)
     try:
+        if "digits" in vars(args):  # refused before the work, with stdout empty
+            check_digits(args.digits)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

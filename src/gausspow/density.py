@@ -50,8 +50,8 @@ TAIL_REMAINDER = Fraction(2, 10**14)
 TAIL_REMAINDER_MIN_LIMIT = 10**6
 
 # Common denominator of `rounded_tail`.  The 2e7 sieve cap admits 635,435
-# terms, so the rounding adds less than 1e-234, far below the 200 digits
-# `decimal_render` can print.
+# terms, so the rounding adds less than 1e-234, far below the MAX_DIGITS = 200
+# digits `decimal_render` can print.
 TAIL_SCALE = 10**240
 
 
@@ -202,8 +202,8 @@ def diagonal_bracket(num_primes: int, p_limit: int) -> DiagonalBracket:
             f"p_limit below {TAIL_REMAINDER_MIN_LIMIT} invalidates the stored remainder"
         )
     fam = sieve_inert_primes(num_primes)
-    ell = union_density(fam)
     tail = rounded_tail(fam[-1], p_limit) + TAIL_REMAINDER
+    ell = union_density(fam)
     return DiagonalBracket(1 - ell - tail, 1 - ell, ell, tail, fam)
 
 
@@ -221,9 +221,11 @@ def sieve_complement_count(limit: int, primes) -> int:
     i = t v_p with p not dividing t, where v_p = u_p / gcd(u_p, 3): when 3
     does not divide u_p, t runs over multiples of 3, and p divides 3 t' just
     when it divides t'.  A family without 3 marks all of j, with v_p = u_p.
-    Each nonzero residue of t mod p is one stride of step p v_p.  One
-    bytearray over i (over j without 3), limit/72 bytes (limit/24), takes
-    every prime's strides and is then counted.
+    Each nonzero residue of t mod p is one stride of step p v_p, and only the
+    strides that start inside the array are walked, so a prime costs one
+    step per stride it marks.  One bytearray over i (over j without 3),
+    limit/72 bytes (limit/24), takes every prime's strides and is then
+    counted.
     """
     if limit < 1 or limit > 10**9:
         raise ValueError("limit must be in [1, 1e9]")
@@ -237,9 +239,8 @@ def sieve_complement_count(limit: int, primes) -> int:
     for p in fam:
         u = (p**3 - p) // 24
         v = u // gcd(u, fold)
-        ones = b"\x01" * len(range(v, top + 1, p * v))
-        for s in range(v, p * v, v):
-            marked[s::p * v] = ones[: len(range(s, top + 1, p * v))]
+        for s in range(v, min(p * v, top + 1), v):
+            marked[s::p * v] = b"\x01" * len(range(s, top + 1, p * v))
     return count + marked.count(1)
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import gausspow
-from gausspow import cli
-from gausspow.arith import MAX_FACTOR_INPUT, MAX_INERT_COUNT
+from gausspow import cli, density
+from gausspow.arith import MAX_DIGITS, MAX_FACTOR_INPUT, MAX_INERT_COUNT
 from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser, main
 from gausspow.closed_form import (
     MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K, sigma_closed, sigma_closed_row,
@@ -679,6 +679,18 @@ class TestInputCaps:
         code, out, _ = run_cli(capsys, *argv)
         return code, out, time.perf_counter() - start
 
+    @staticmethod
+    def recorder(monkeypatch, owner, name):
+        """Wrap `owner.name` so each call is listed, and return the list."""
+        calls, real = [], getattr(owner, name)
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, record)
+        return calls
+
     def test_sigma_closed_at_cap(self, capsys):
         # 8 | k makes n be factored: the largest prime below 2^63, then a
         # product of two primes near 2^31.5, the slowest case for rho
@@ -839,8 +851,38 @@ class TestInputCaps:
         assert code == 2
         assert str(MAX_INERT_COUNT) in err
 
-    def test_tail_limit_above_cap(self, capsys):
-        code, out, err = run_cli(capsys, "density", "m", "--tail-limit", "20000001")
+    def test_tail_limit_above_cap(self, capsys, monkeypatch):
+        # refused before the union DP, about 0.5 s at the 40-prime cap
+        calls = self.recorder(monkeypatch, density, "union_density")
+        code, out, err = run_cli(
+            capsys, "density", "m", "--primes", "40", "--tail-limit", "20000001"
+        )
         assert code == 2
         assert out == ""
         assert err == "error: sieve limit capped at 2e7\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("digits", ["0", str(MAX_DIGITS + 1)])
+    def test_bracket_digits_out_of_range(self, capsys, monkeypatch, digits):
+        # refused before the bracket, about 1.6 s at the caps
+        calls = self.recorder(monkeypatch, cli, "diagonal_bracket")
+        code, out, err = run_cli(
+            capsys, "density", "m", "--primes", "40", "--tail-limit", "20000000",
+            "--digits", digits,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: digits must be in [1, {MAX_DIGITS}]\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("digits", ["0", str(MAX_DIGITS + 1)])
+    def test_row_density_digits_out_of_range(self, capsys, monkeypatch, digits):
+        # refused before R(k) is sieved for
+        calls = self.recorder(monkeypatch, cli, "zero_row_density")
+        code, out, err = run_cli(
+            capsys, "density", "nk", "--k", "999999997920", "--digits", digits
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: digits must be in [1, {MAX_DIGITS}]\n"
+        assert calls == []

@@ -4,13 +4,9 @@ import random
 
 import pytest
 
-from gausspow.arith import inert_primes_up_to, is_prime
-from gausspow.closed_form import sigma_closed
-from gausspow.congruence_sets import (
-    diagonal_witness,
-    divides_sigma,
-    outside_row_zeros,
-)
+from gausspow.arith import MAX_FACTOR_INPUT, inert_primes_up_to, is_prime
+from gausspow.closed_form import sigma_closed, sigma_closed_row
+from gausspow.congruence_sets import diagonal_witness, divides_sigma
 from gausspow.density import sieve_complement_count
 from gausspow.gaussian import sigma_brute_sweep
 
@@ -41,14 +37,16 @@ class TestDividesSigma:
 
 
 class TestComplementDescriptions:
+    """The complement of row k is {n : not divides_sigma(k, n)}."""
+
     def test_row_examples(self):
-        assert outside_row_zeros(6, 3) is True  # 6 = 2 mod 4, odd k
-        assert outside_row_zeros(6, 8) is True  # 6 = 3 * 2 with 9 absent
-        assert outside_row_zeros(9, 8) is False  # multiple of 9
+        assert divides_sigma(3, 6) is False  # 6 = 2 mod 4, odd k
+        assert divides_sigma(8, 6) is False  # 6 = 3 * 2 with 9 absent
+        assert divides_sigma(8, 9) is True  # multiple of 9
 
     def test_row_rejects_n_zero(self):
-        with pytest.raises(ValueError, match="k and n must be >= 1"):
-            outside_row_zeros(0, 8)
+        with pytest.raises(ValueError, match=str(MAX_FACTOR_INPUT)):
+            divides_sigma(8, 0)
 
     def test_column_examples(self):
         assert not divides_sigma(3, 6)  # odd k > 1, n = 2 mod 4
@@ -56,11 +54,20 @@ class TestComplementDescriptions:
         assert divides_sigma(8, 9)
 
     def test_three_descriptions_agree(self):
+        # the closed row is read from R(k) with no factoring, the cell from
+        # the factored witness set W(k, n)
         for k in range(1, 201):
+            row = sigma_closed_row(k, 200)
             for n in range(1, 201):
-                member = not divides_sigma(k, n)
-                assert outside_row_zeros(n, k) == member, (k, n)
-                assert (not sigma_closed(k, n).is_zero()) == member, (k, n)
+                zero = divides_sigma(k, n)
+                assert sigma_closed(k, n).is_zero() == zero, (k, n)
+                assert row[n - 1].is_zero() == zero, (k, n)
+
+    @pytest.mark.parametrize("k, n", [(3, -2), (3, 2**63 + 2), (8, 2**63 + 2)])
+    def test_n_range_does_not_depend_on_k(self, k, n):
+        # n = -2 and 2^63 + 2 are 2 mod 4: an odd k > 1 needs no witness set
+        with pytest.raises(ValueError, match=str(MAX_FACTOR_INPUT)):
+            divides_sigma(k, n)
 
 
 def column_zero_exponents(n, k_limit=10**4):

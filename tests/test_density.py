@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausspow.arith import decimal_render, inert_primes_up_to, is_prime, sieve_inert_primes
-from gausspow.congruence_sets import outside_row_zeros
+from gausspow.congruence_sets import divides_sigma
 from gausspow.density import (
     MAX_UNION_PRIMES,
     TAIL_REMAINDER,
@@ -43,7 +43,7 @@ def one_period_row_count(k):
     """Exact zero fraction of row k over one full period (small periods only)."""
     period = prod(p * p for p in qualifying_primes(k))
     assert period <= 2 * 10**6
-    zeros = sum(1 for n in range(1, period + 1) if not outside_row_zeros(n, k))
+    zeros = sum(1 for n in range(1, period + 1) if divides_sigma(k, n))
     return Fraction(zeros, period)
 
 
@@ -563,6 +563,14 @@ class TestSieveOracle:
     # the last entry is marked: j = u_7 = 14, then i = v_7 = 14
     @example(([7], 24 * 14, 24))
     @example(([3, 7], 72 * 14 + 71, 24))
+    # p v_7 = 98 is top, top + 1 and top + 2, on j and then on i: the last
+    # stride that starts inside the array
+    @example(([7], 24 * 98, 4001))
+    @example(([7], 24 * 97, 4001))
+    @example(([7], 24 * 96 + 23, 4001))
+    @example(([3, 7], 72 * 98, 4001))
+    @example(([3, 7], 72 * 97 + 71, 4001))
+    @example(([3, 7], 72 * 96, 4001))
     def test_lattice_sieve_matches_chunked_marking(self, case):
         fam, limit, chunk = case
         assert sieve_complement_count(limit, fam) == chunked_marking_count(limit, fam, chunk)
@@ -613,6 +621,18 @@ class TestSieveOracle:
     def test_pinned_counts_at_accepted_maximum(self):
         assert sieve_complement_count(10**9, sieve_inert_primes(30)) == 28999301
         assert sieve_complement_count(10**9, sieve_inert_primes(40)) == 28999409
+
+    def test_prime_far_past_the_array_marks_nothing(self):
+        # v = (p^3 - p)/24 lies far past any array: no stride starts inside
+        # it, so the prime costs nothing, with 3 in the family or not
+        big = 2**61 - 1
+        assert sieve_complement_count(10**9, (big,)) == 0
+        forty = sieve_inert_primes(40)
+        assert sieve_complement_count(10**9, (*forty, big)) == 28999409
+        without_three = forty[1:]
+        assert sieve_complement_count(10**8, (*without_three, big)) == (
+            sieve_complement_count(10**8, without_three)
+        )
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):

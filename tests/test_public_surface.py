@@ -30,6 +30,7 @@ REMOVED = (
     "witness_density",
     "incompatible",
     "DensityInterval",
+    "outside_row_zeros",
 )
 
 # The Gaussian types are values, not rings: the routes call the power loops
