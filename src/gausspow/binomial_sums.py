@@ -2,11 +2,13 @@
 
 These are the classical congruences of Hermite and Dilcher for sums of
 binomial coefficients taken at indices in arithmetic progression of gap p-1,
-plus the signed variant that feeds the Gaussian closed form.  All three are
-one walk, `_lacunary_sum`: the sum of sign^j C(n, j(p-1)) over the inner
-indices 0 < j(p-1) < n.  Hermite's sum is the walk with sign 1, the signed
-sum the walk with sign -1 at p = 3 (mod 4), and Dilcher's alternating sum the
-walk over n = k(p-1) plus its two end terms C(n, 0) = 1 and (-1)^k C(n, n).
+plus the signed variant from the paper's proof of the Gaussian closed form
+(no evaluation route calls it; the tests check it as a step of that proof).
+All three are one walk, `_lacunary_sum`: the sum of sign^j C(n, j(p-1)) over
+the inner indices 0 < j(p-1) < n.  Hermite's sum is the walk with sign 1,
+the signed sum the walk with sign -1 at p = 3 (mod 4), and Dilcher's
+alternating sum the walk over n = k(p-1) plus its two end terms C(n, 0) = 1
+and (-1)^k C(n, n).
 Binomials are reduced mod p by Lucas decomposition so the sums stay cheap for
 large k; each public function checks that p is prime once per call.
 """

@@ -33,18 +33,17 @@ from .moser_search import search_solutions
 
 EPSILON_LEGEND = "ϵ := (1 + i)"
 
-# Largest kmax * nmax * (kmax + nmax)^2 `verify` accepts; it holds nmax to 291
-# at kmax = 1, and kmax to 291 at nmax = 1, below `MAX_EXPANSION_K`.  The
-# bound does not track the cost, whose peak lies inside the range of kmax and
-# not at its ends; its value fixes the accepted inputs.
-# The brute sweep takes about kmax * nmax^2 / 2 exact steps, the expansion
-# sweep kmax^2 * nmax / 2 products of a binomial and two power sums, and the
-# closed column one row per row class.  On a 2-core x86 host, in the three
-# routes: the slowest accepted inputs, 30 x 75 and 48 x 52, take about 25 ms
-# (18-20 ms of it the brute sweep) and the whole command about 0.065 s,
-# 0.025 s of that interpreter start; 1 x 291 takes about 8 ms (7 ms the brute
-# sweep) and 290 x 1 about 4 ms, nearly all of it the expansion sweep.
-MAX_VERIFY_WORK = 25 * 10**6
+# Largest kmax * nmax * (kmax + nmax) `verify` accepts, twice the step count
+# of its two sweeps: the brute sweep takes about kmax * nmax^2 / 2 exact
+# steps, the expansion sweep kmax^2 * nmax / 2 products of a binomial and two
+# power sums, and the closed column one row per row class.  It holds nmax to
+# 499 at kmax = 1 and kmax to 499 at nmax = 1, below `MAX_EXPANSION_K`.  On a
+# shared 2-core x86 host with Python 3.11.7, in the three routes (best of 3
+# to 5): the shapes on the bound from 1 x 499 to 48 x 52 take 31-46 ms, two
+# thirds or more of it the brute sweep; 30 x 75, the slowest shape of the
+# earlier bound kmax * nmax * (kmax + nmax)^2 <= 2.5e7, takes 36-40 ms; and
+# 499 x 1 about 18 ms, nearly all of it the expansion sweep.
+MAX_VERIFY_WORK = 250_000
 
 # Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,
 # so 500 x 500 takes about 0.01 s in `cmd_table` in any format (about 0.11 s
@@ -123,8 +122,8 @@ def cmd_verify(args) -> int:
     kmax, nmax = args.kmax, args.nmax
     if not (kmax >= 1 and nmax >= 1):
         raise ValueError("requires kmax >= 1 and nmax >= 1")
-    if kmax * nmax * (kmax + nmax) ** 2 > MAX_VERIFY_WORK:
-        raise ValueError(f"requires kmax * nmax * (kmax + nmax)^2 <= {MAX_VERIFY_WORK}")
+    if kmax * nmax * (kmax + nmax) > MAX_VERIFY_WORK:
+        raise ValueError(f"requires kmax * nmax * (kmax + nmax) <= {MAX_VERIFY_WORK}")
     keys, closed_rows = _class_rows(kmax, nmax)
     routes = zip(sigma_brute_sweep(nmax, kmax), sigma_expansion_sweep(nmax, kmax))
     for n, (brute, expansion) in enumerate(routes, start=1):

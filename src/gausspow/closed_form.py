@@ -19,15 +19,18 @@ p^2 not dividing n, so a whole row needs no factorization:
 `density.zero_row_density` reads its case from it.
 
 Two independent evaluation routes live here and are cross-tested: the
-closed form above and a mid-level route through the binomial expansion of
-(a+bi)^k against classical power sums.  `gaussian.sigma_brute` is the third,
-ground-truth route.  `_expand` writes the expansion of one cell once, from
-one row of binomials C(k, 0..k) and S_0(n)..S_k(n) mod n.  `sigma_expansion`
-builds the one row it needs by C(k, j + 1) = C(k, j)(k - j)/(j + 1);
-`sigma_expansion_sweep` gives the rows of every n up to n_max in one pass,
-carrying the exact power sums from n - 1 to n and building each Pascal row
-once.  `cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`,
-the brute rows in one pass, and against one closed row per row class.
+closed form above and a mid-level route that follows the paper's own
+derivation, the binomial expansion of (a+bi)^k against the classical power
+sums S_m(n), read from von Staudt's sum (`power_sums.s_mod_closed_row`).
+`gaussian.sigma_brute` is the third, ground-truth route, and
+`power_sums.s_mod_naive` the literal oracle of the power sums.  The two
+routes here share only `factorize`.  `_expand` writes the expansion of one
+cell once, from one row of binomials C(k, 0..k) and S_0(n)..S_k(n) mod n.
+`sigma_expansion` builds the one row of binomials it needs by
+C(k, j + 1) = C(k, j)(k - j)/(j + 1); `sigma_expansion_sweep` gives the rows
+of every n up to n_max in one pass, building each Pascal row once.
+`cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`, the
+brute rows in one pass, and against one closed row per row class.
 """
 
 from __future__ import annotations
@@ -39,20 +42,21 @@ from operator import add
 
 from .arith import MAX_FACTOR_INPUT, factorize, inert_primes_up_to
 from .gaussian import GaussianResidue
+from .power_sums import s_mod_closed_row
 
 # Largest k `row_witness_primes` accepts: it sieves the primes p = 3 (mod 4)
 # with p^2 <= k + 1 and tries each, about 10 ms at 10^12 on a 2-core x86 host.
 MAX_ROW_K = 10**12
 
-# Largest k and n `sigma_expansion` accepts (k_max and n_max for
-# `sigma_expansion_sweep`): one cell sums k + 1 power sums of n terms and
-# expands k + 1 exact binomials, about 0.13 s at (1000, 1000), nearly all of
-# it the power sums (best of 5 on a 2-core x86 Xeon host with Python 3.11.7,
-# where `sigma_brute(1, 1000)` takes 0.5 s).  The sweep expands every cell of
-# its box, about k_max^2 n_max / 2 products, so `cli.cmd_verify` bounds it
-# far below these caps.
+# Largest k `sigma_expansion` accepts (k_max for `sigma_expansion_sweep`); n
+# may be anything `factorize` takes.  One cell builds k + 1 exact binomials,
+# reads S_0(n)..S_k(n) from one factorization of n and expands: about 0.5 ms
+# at k = 1000, 0.3 ms of it the binomials, or 13 ms at the n whose odd part
+# Brent's rho splits, 8 * 1073741783 * 1073741789 (best of 5 on a 2-core x86
+# Xeon host with Python 3.11.7).  The sweep expands every cell of its box,
+# about k_max^2 n_max / 2 products, so `cli.cmd_verify` bounds it far below
+# this cap.
 MAX_EXPANSION_K = 1000
-MAX_EXPANSION_N = 1000
 
 
 def witness_primes(k: int, n: int) -> tuple[int, ...]:
@@ -129,20 +133,22 @@ def sigma_expansion(k: int, n: int) -> GaussianResidue:
         Re = sum_{j} (-1)^j C(k, 2j)   S_{2j}(n)   S_{k-2j}(n)
         Im = sum_{j} (-1)^j C(k, 2j+1) S_{2j+1}(n) S_{k-2j-1}(n)
 
-    evaluated mod n with exact integer binomials.  Slower than the closed
-    form but independent of it; it sits between brute force and the formula
-    in the oracle stack.
+    evaluated mod n with exact integer binomials and S_m(n) mod n from von
+    Staudt's sum.  Slower than the closed form but independent of it; it
+    sits between brute force and the formula in the oracle stack.
     """
-    s = _power_sums(k, n)  # checks k and n
+    _check_expansion(k, n)
     binomials = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
-    return _expand(list(binomials), s, n)
+    return _expand(list(binomials), s_mod_closed_row(k, n), n)
 
 
 def sigma_expansion_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]:
     """[[sigma_expansion(k, n) for k in 1..k_max] for n in 1..n_max] in one
-    pass: the power sums of every n from `_power_sum_sweep`, and each row of
-    Pascal's triangle built once from the one before and expanded at every n."""
-    sums = _power_sum_sweep(n_max, k_max)
+    pass: one row of power sums per n from `s_mod_closed_row`, and each row
+    of Pascal's triangle built once from the one before and expanded at
+    every n."""
+    _check_expansion(k_max, n_max)
+    sums = [s_mod_closed_row(k_max, n) for n in range(1, n_max + 1)]
     rows = [[] for _ in sums]
     pascal = [1]
     for _ in range(k_max):
@@ -162,33 +168,8 @@ def _expand(binomials: list[int], s: list[int], n: int) -> GaussianResidue:
 
 
 def _check_expansion(k: int, n: int) -> None:
-    if not (1 <= k <= MAX_EXPANSION_K and 1 <= n <= MAX_EXPANSION_N):
+    if not (1 <= k <= MAX_EXPANSION_K and 1 <= n <= MAX_FACTOR_INPUT):
         raise ValueError(
             f"expansion needs 1 <= k <= {MAX_EXPANSION_K}"
-            f" and 1 <= n <= {MAX_EXPANSION_N}"
+            f" and 1 <= n <= {MAX_FACTOR_INPUT}"
         )
-
-
-def _power_sums(k: int, n: int) -> list[int]:
-    """[S_m(n) mod n for m in 0..k] by literal summation, within the caps."""
-    _check_expansion(k, n)
-    sums, cur = [], [1] * n
-    for _ in range(k + 1):
-        sums.append(sum(cur) % n)
-        cur = [x * a % n for a, x in enumerate(cur, 1)]
-    return sums
-
-
-def _power_sum_sweep(n_max: int, k_max: int) -> list[list[int]]:
-    """[[S_m(n) mod n for m in 0..k_max] for n in 1..n_max]: the exact sums
-    S_m(n - 1) are carried to n by adding n^m, and reduced as each n is read
-    off, so each is still the literal sum 1^m + ... + n^m."""
-    _check_expansion(k_max, n_max)
-    exact, rows = [0] * (k_max + 1), []
-    for n in range(1, n_max + 1):
-        power = 1
-        for m in range(k_max + 1):
-            exact[m] += power
-            power *= n
-        rows.append([x % n for x in exact])
-    return rows

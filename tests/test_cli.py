@@ -17,7 +17,7 @@ from gausspow import cli, density
 from gausspow.arith import MAX_DIGITS, MAX_FACTOR_INPUT, MAX_INERT_COUNT
 from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser, main
 from gausspow.closed_form import (
-    MAX_EXPANSION_K, MAX_EXPANSION_N, MAX_ROW_K, sigma_closed, sigma_closed_row,
+    MAX_EXPANSION_K, MAX_ROW_K, sigma_closed, sigma_closed_row,
 )
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK, GaussianResidue
 from gausspow.moser_search import SEARCH_GUARD
@@ -199,8 +199,10 @@ class TestVerify:
         assert code == 0
 
     def test_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--kmax", "2", "--nmax", "301")
-        assert code == 2
+        # 2 * 353 * 355 is the first kmax * nmax * (kmax + nmax) past the
+        # work bound at kmax = 2
+        code, out, _ = run_cli(capsys, "verify", "--kmax", "2", "--nmax", "353")
+        assert (code, out) == (2, "")
 
     def test_empty_range(self, capsys):
         # kmax or nmax below 1 has no cell to verify, though it meets the
@@ -719,41 +721,55 @@ class TestInputCaps:
         assert str(MAX_FACTOR_INPUT) in err
 
     def test_sigma_expansion_at_cap(self, capsys):
-        k, n = str(MAX_EXPANSION_K), str(MAX_EXPANSION_N)
-        code, out, seconds = self.timed(
-            capsys, "sigma", "--k", k, "--n", n, "--method", "expansion"
-        )
-        assert code == 0
-        assert seconds < 15.0
-        _, closed, _ = run_cli(capsys, "sigma", "--k", k, "--n", n)
-        assert out.splitlines()[0] == closed.splitlines()[0]
+        # the largest n, then the slowest to factor, as for the closed route
+        k = str(MAX_EXPANSION_K)
+        for n in (str(MAX_FACTOR_INPUT), str(3037000453 * 3037000493)):
+            code, out, seconds = self.timed(
+                capsys, "sigma", "--k", k, "--n", n, "--method", "expansion"
+            )
+            assert code == 0
+            assert seconds < 15.0
+            _, closed, _ = run_cli(capsys, "sigma", "--k", k, "--n", n)
+            assert out.splitlines()[0] == closed.splitlines()[0]
 
     def test_sigma_expansion_above_cap(self, capsys):
-        for k, n in ((MAX_EXPANSION_K + 1, 7), (2, MAX_EXPANSION_N + 1)):
-            code, _, err = run_cli(
+        for k, n in ((MAX_EXPANSION_K + 1, 7), (2, MAX_FACTOR_INPUT + 1)):
+            code, out, err = run_cli(
                 capsys, "sigma", "--k", str(k), "--n", str(n), "--method", "expansion"
             )
-            assert code == 2
-            assert str(MAX_EXPANSION_K) in err
+            assert (code, out) == (2, "")
+            assert str(MAX_EXPANSION_K) in err and str(MAX_FACTOR_INPUT) in err
 
     def test_verify_above_cap(self, capsys):
-        # the work bound holds kmax to 291 at nmax = 1, below the expansion cap
+        # the work bound holds kmax to 499 at nmax = 1, below the expansion cap
         code, _, err = run_cli(
             capsys, "verify", "--kmax", str(MAX_EXPANSION_K + 1), "--nmax", "1"
         )
         assert code == 2
         assert str(MAX_VERIFY_WORK) in err
 
-    # kmax = 1 gives the verify bound its largest nmax, 291; the slowest
-    # accepted inputs lie near kmax = 30-48, at about 0.075 s for the command
-    VERIFY_NMAX = max(n for n in range(1, 301) if n * (1 + n) ** 2 <= MAX_VERIFY_WORK)
+    # kmax = 1 gives the verify bound its largest nmax, 499, and nmax = 1
+    # its largest kmax; the slowest accepted inputs, 1 x 499 among them, take
+    # about 0.04 s in the three routes
+    VERIFY_NMAX = max(n for n in range(1, 1001) if n * (1 + n) <= MAX_VERIFY_WORK)
 
     def test_verify_work_at_cap(self, capsys):
-        nmax = str(self.VERIFY_NMAX)
-        code, out, seconds = self.timed(capsys, "verify", "--kmax", "1", "--nmax", nmax)
-        assert code == 0
-        assert seconds < 30.0
-        assert out.startswith("verified")
+        assert self.VERIFY_NMAX == 499
+        for kmax, nmax in (("1", str(self.VERIFY_NMAX)), (str(self.VERIFY_NMAX), "1")):
+            code, out, seconds = self.timed(
+                capsys, "verify", "--kmax", kmax, "--nmax", nmax
+            )
+            assert code == 0
+            assert seconds < 30.0
+            assert out.startswith("verified")
+
+    def test_verify_bound_keeps_the_old_shapes(self):
+        # every shape the earlier bound kmax * nmax * (kmax + nmax)^2 <= 2.5e7
+        # accepted is still accepted
+        for kmax in range(1, 292):
+            old = [n for n in range(1, 292) if kmax * n * (kmax + n) ** 2 <= 25 * 10**6]
+            nmax = max(old)
+            assert kmax * nmax * (kmax + nmax) <= MAX_VERIFY_WORK, (kmax, nmax)
 
     def test_verify_work_above_cap(self, capsys):
         nmax = str(self.VERIFY_NMAX + 1)

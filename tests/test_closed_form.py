@@ -11,11 +11,8 @@ from gausspow import closed_form
 from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
-    MAX_EXPANSION_N,
     MAX_ROW_K,
     _expand,
-    _power_sum_sweep,
-    _power_sums,
     is_half_epsilon_case,
     row_witness_primes,
     sigma_closed,
@@ -25,7 +22,7 @@ from gausspow.closed_form import (
     witness_primes,
 )
 from gausspow.gaussian import GaussianResidue, _pow_mod, sigma_brute, sigma_brute_sweep
-from gausspow.power_sums import s_mod_naive
+from gausspow.power_sums import s_mod_closed_row, s_mod_naive
 
 
 def walked_row_witness_primes(k):
@@ -201,20 +198,23 @@ class TestExpansionRoute:
         assert sigma_expansion(8, 3) == GaussianResidue(2, 0, 3)
 
     def test_rows_bounds(self):
-        assert len(sigma_expansion_sweep(MAX_EXPANSION_N, 1)) == MAX_EXPANSION_N
+        assert len(sigma_expansion_sweep(1000, 1)) == 1000
         assert len(sigma_expansion_sweep(1, MAX_EXPANSION_K)[0]) == MAX_EXPANSION_K
         for n_max, k_max in [
             (1, 0),
             (0, 1),
             (1, MAX_EXPANSION_K + 1),
-            (MAX_EXPANSION_N + 1, 1),
+            (MAX_FACTOR_INPUT + 1, 1),
         ]:
             with pytest.raises(ValueError):
                 sigma_expansion_sweep(n_max, k_max)
+        for k, n in [(0, 5), (MAX_EXPANSION_K + 1, 5), (2, 0), (2, 2**63)]:
+            with pytest.raises(ValueError):
+                sigma_expansion(k, n)
 
     def test_rows_match_summed_oracle(self):
         for n in range(1, 61):
-            assert _power_sums(60, n) == [s_mod_naive(m, n) for m in range(61)], n
+            assert s_mod_closed_row(60, n) == [s_mod_naive(m, n) for m in range(61)], n
         assert sigma_expansion_sweep(60, 60) == summed_expansion_sweep(60, 60)
 
     # the verify shapes 1 x 291, 290 x 1, 30 x 75 and 48 x 52 (kmax x nmax,
@@ -226,10 +226,10 @@ class TestExpansionRoute:
 
     @pytest.mark.parametrize("n_max, k_max", [(60, 60), (291, 1), (1, 290), (75, 30)])
     def test_sweep_power_sums_match_summation(self, n_max, k_max):
-        sums = _power_sum_sweep(n_max, k_max)
-        assert len(sums) == n_max
-        for n, s in enumerate(sums, start=1):
-            assert s == _power_sums(k_max, n), n
+        # the sweep reads each n's power sums from `s_mod_closed_row`
+        for n in range(1, n_max + 1):
+            summed = [s_mod_naive(m, n) for m in range(k_max + 1)]
+            assert s_mod_closed_row(k_max, n) == summed, n
 
     @pytest.mark.parametrize(
         "n, k_max", [(1000, 3), pytest.param(7, 1000, marks=pytest.mark.slow), (1, 292)]
@@ -252,9 +252,60 @@ class TestExpansionRoute:
                 assert _expand(c, s, n) == binomial_expansion(c, n, s), (k, n)
 
     def test_last_row_at_cap_matches_summed_oracle(self):
-        k, n = MAX_EXPANSION_K, MAX_EXPANSION_N
+        # n = 1000 was the cap on n while the power sums were summed
+        k, n = MAX_EXPANSION_K, 1000
         s = [s_mod_naive(m, n) for m in range(k + 1)]
         assert sigma_expansion(k, n) == binomial_expansion(comb_row(k), n, s)
+
+
+def forced_cells():
+    """Cells whose closed value is a witness sum or the half-epsilon case:
+    n = 3m, 9m, 2m, 6m below 2^63 for three large primes m, at k from 8 to
+    the expansion cap."""
+    return [
+        (k, c * m)
+        for m in (1000000007, 998244353, 2**61 - 1)
+        for c in (3, 9, 2, 6)
+        if c * m <= MAX_FACTOR_INPUT
+        for k in (8, 48, 120, 240, 960, 999, 1000)
+    ]
+
+
+class TestExpansionPastBrute:
+    """The expansion route against the closed form for every n that
+    `factorize` takes, far past the reach of brute force."""
+
+    def test_seeded_cells_match_closed_form(self):
+        rng = random.Random(1402)
+        cells = [
+            (rng.randint(1, MAX_EXPANSION_K), rng.randrange(1, 2 ** rng.randint(1, 63)))
+            for _ in range(300)
+        ]
+        for k, n in cells:
+            assert sigma_expansion(k, n) == sigma_closed(k, n), (k, n)
+
+    def test_forced_cells_match_closed_form(self):
+        values = []
+        for k, n in forced_cells():
+            values.append(sigma_expansion(k, n))
+            assert values[-1] == sigma_closed(k, n), (k, n)
+        # both nonzero cases occur: a real witness sum and (n/2)(1 + i)
+        assert any(r.im == 0 and r.re != 0 for r in values)
+        assert any(r.im != 0 for r in values)
+
+    def test_reads_no_witness_prime(self, monkeypatch):
+        # the two routes share `factorize` and nothing of the closed form
+        cells = [(48, 3 * 1000000007), (999, 2 * 998244353), (8, 40)]
+        closed = [sigma_closed(k, n) for k, n in cells]
+        closed_rows = [sigma_closed_row(k, 40) for k in range(1, 49)]
+
+        def refuse(*args):
+            raise AssertionError("the expansion route read a witness prime")
+
+        monkeypatch.setattr(closed_form, "witness_primes", refuse)
+        monkeypatch.setattr(closed_form, "row_witness_primes", refuse)
+        assert [sigma_expansion(k, n) for k, n in cells] == closed
+        assert sigma_expansion_sweep(40, 48) == [list(col) for col in zip(*closed_rows)]
 
 
 class TestCaseFunctions:

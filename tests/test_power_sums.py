@@ -3,7 +3,7 @@
 import pytest
 
 from gausspow.arith import factorize
-from gausspow.power_sums import s_mod_closed, s_mod_naive
+from gausspow.power_sums import s_mod_closed, s_mod_closed_row, s_mod_naive
 
 
 class TestNaive:
@@ -47,6 +47,41 @@ class TestClosed:
                 for k in range(1, 49):
                     assert s_mod_closed(k, n) == s_mod_naive(k, n), (k, n)
                 n *= p
+
+
+def prime_powers_to_4096():
+    return [p**e for p in (2, 3, 5, 7) for e in range(1, 13) if p**e <= 4096]
+
+
+class TestClosedRow:
+    """`s_mod_closed_row`, the power sums of the expansion route, against the
+    literal sums and the scalar von Staudt sum."""
+
+    def test_examples(self):
+        for n in (1, 4, 5):
+            assert s_mod_closed_row(0, n) == [0]
+        # S_1(4) = 10 and S_3(4) = 100: 2 drops out at odd m > 1 when 4 | n
+        assert s_mod_closed_row(4, 4) == [0, 2, 2, 0, 2]
+        # 2 || 6: the 2-part enters at every m >= 1
+        assert s_mod_closed_row(3, 6) == [0, 3, 1, 3]
+
+    def test_matches_naive_on_grid(self):
+        for n in range(1, 301):
+            assert s_mod_closed_row(60, n) == [s_mod_naive(m, n) for m in range(61)], n
+
+    def test_matches_naive_on_small_prime_powers(self):
+        for n in prime_powers_to_4096():
+            assert s_mod_closed_row(48, n) == [s_mod_naive(m, n) for m in range(49)], n
+
+    def test_matches_scalar(self):
+        for n in [*range(1, 201), *prime_powers_to_4096(), 2**62, 2 * (2**61 - 1)]:
+            row = s_mod_closed_row(100, n)
+            assert row[1:] == [s_mod_closed(m, n) for m in range(1, 101)], n
+
+    def test_guards(self):
+        for k_max, n in ((-1, 5), (3, 0)):
+            with pytest.raises(ValueError):
+                s_mod_closed_row(k_max, n)
 
 
 class TestCarlitzParity:

@@ -120,7 +120,7 @@ def test_every_traced_layer_resolves():
 TRACED_CALLS = [
     (["sigma", "--k", "8", "--n", "24"], {"closed_form.sigma_closed", "arith.factorize"}),
     (["sigma", "--k", "3", "--n", "10", "--method", "expansion"],
-     {"closed_form.sigma_expansion"}),
+     {"closed_form.sigma_expansion", "arith.factorize"}),
     (["witness", "--n", "24"], {"congruence_sets.diagonal_witness"}),
     (["density", "nk", "--k", "8"], {"density.zero_row_density", "arith.decimal_render"}),
     (["density", "m", "--primes", "4"],
