@@ -12,10 +12,11 @@ and reads
 
 So sigma_k(n) mod n depends on k only through its row class: whether k > 1
 is odd, and the row witness primes R(k) (`row_witness_primes`), the primes
-p = 3 (mod 4) with p^2 - 1 | k.  W(k, n) is then the p in R(k) with p | n and
-p^2 not dividing n, so a whole row needs no factorization:
-`sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is that key:
-`cli.cmd_table` evaluates and renders each class row once, and
+p = 3 (mod 4) with p^2 - 1 | k.  For such p, o = (p - 1)/2 is an odd divisor
+of k, so R(k) is read off one factorization of k.  W(k, n) is then the p in
+R(k) with p | n and p^2 not dividing n, so a whole row needs no factorization
+of n: `sigma_closed_row` evaluates it from R(k) alone.  `row_class(k)` is
+that key: `cli.cmd_table` evaluates and renders each class row once, and
 `density.zero_row_density` reads its case from it.
 
 Two independent evaluation routes live here and are cross-tested: the
@@ -37,16 +38,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate
-from math import isqrt
 from operator import add
 
-from .arith import MAX_FACTOR_INPUT, factorize, inert_primes_up_to
+from .arith import MAX_FACTOR_INPUT, factorize, is_prime
 from .gaussian import GaussianResidue
 from .power_sums import s_mod_closed_row
-
-# Largest k `row_witness_primes` accepts: it sieves the primes p = 3 (mod 4)
-# with p^2 <= k + 1 and tries each, about 10 ms at 10^12 on a 2-core x86 host.
-MAX_ROW_K = 10**12
 
 # Largest k `sigma_expansion` accepts (k_max for `sigma_expansion_sweep`); n
 # may be anything `factorize` takes.  One cell builds k + 1 exact binomials,
@@ -61,8 +57,10 @@ MAX_EXPANSION_K = 1000
 
 def witness_primes(k: int, n: int) -> tuple[int, ...]:
     """Primes p with p || n, p^2 - 1 | k and p = 3 (mod 4), ascending."""
-    if k < 1 or not 1 <= n <= MAX_FACTOR_INPUT:
-        raise ValueError(f"requires k >= 1 and 1 <= n <= {MAX_FACTOR_INPUT}")
+    if not 1 <= n <= MAX_FACTOR_INPUT:
+        raise ValueError(f"n must be in [1, {MAX_FACTOR_INPUT}]")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k % 8:  # 8 | p^2 - 1 for every odd p, so n need not be factored
         return ()
     return tuple(
@@ -75,11 +73,16 @@ def witness_primes(k: int, n: int) -> tuple[int, ...]:
 def row_witness_primes(k: int) -> tuple[int, ...]:
     """Primes p = 3 (mod 4) with p^2 - 1 | k, ascending: the primes that can
     witness in row k, for whichever n they exactly divide."""
-    if not 1 <= k <= MAX_ROW_K:
-        raise ValueError(f"k must be in [1, {MAX_ROW_K}]")
-    if k % 8:  # 8 | p^2 - 1 for every odd p
+    if not 1 <= k <= MAX_FACTOR_INPUT:
+        raise ValueError(f"k must be in [1, {MAX_FACTOR_INPUT}]")
+    if k % 8:  # 8 | p^2 - 1 for every odd p, so k need not be factored
         return ()
-    return tuple(p for p in inert_primes_up_to(isqrt(k + 1)) if k % (p * p - 1) == 0)
+    odd = [1]  # the odd divisors of k, from its prime factors after (2, e)
+    for q, e in factorize(k)[1:]:
+        odd = [o * q**i for o in odd for i in range(e + 1)]
+    # p = 2o + 1 is 3 (mod 4), and p^2 - 1 = 4o(o + 1)
+    candidates = sorted(2 * o + 1 for o in odd if k % (4 * o * (o + 1)) == 0)
+    return tuple(p for p in candidates if is_prime(p))
 
 
 def row_class(k: int) -> tuple[bool, tuple[int, ...]]:
@@ -100,27 +103,20 @@ def sigma_closed(k: int, n: int) -> GaussianResidue:
 
 
 def sigma_closed_row(k: int, n_max: int) -> list[GaussianResidue]:
-    """[sigma_closed(k, n) for n in 1..n_max], from R(k) with no factoring;
-    k is held to [1, MAX_ROW_K] like `row_witness_primes`."""
+    """[sigma_closed(k, n) for n in 1..n_max], from R(k) with no factoring
+    of n; k is held to [1, MAX_FACTOR_INPUT] like `row_witness_primes`."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     row_primes = row_witness_primes(k)  # checks k
-    return [
-        _closed_cell(k, n, _exact_divisors(row_primes, n))
-        for n in range(1, n_max + 1)
-    ]
+    return [_closed_cell(k, n, row_primes) for n in range(1, n_max + 1)]
 
 
-def _exact_divisors(primes: Iterable[int], n: int) -> list[int]:
-    """The p in `primes` with p || n: W(k, n) when `primes` is R(k)."""
-    return [p for p in primes if n % p == 0 and n % (p * p)]
-
-
-def _closed_cell(k: int, n: int, witnesses: Iterable[int]) -> GaussianResidue:
-    """The closed formula at (k, n), given W(k, n)."""
+def _closed_cell(k: int, n: int, primes: Iterable[int]) -> GaussianResidue:
+    """The closed formula at (k, n), given R(k) or W(k, n): the witnesses
+    are the p in `primes` with p || n."""
     if is_half_epsilon_case(k, n):
         return GaussianResidue(n // 2, n // 2, n)
-    total = sum(n * n // (p * p) for p in witnesses)
+    total = sum(n * n // (p * p) for p in primes if n % p == 0 and n % (p * p))
     return GaussianResidue(-total % n, 0, n)
 
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from gausspow import cli, density
 from gausspow.arith import MAX_DIGITS, MAX_FACTOR_INPUT, MAX_INERT_COUNT
 from gausspow.cli import COMMANDS, MAX_TABLE_SIDE, MAX_VERIFY_WORK, build_parser, main
 from gausspow.closed_form import (
-    MAX_EXPANSION_K, MAX_ROW_K, sigma_closed, sigma_closed_row,
+    MAX_EXPANSION_K, sigma_closed, sigma_closed_row,
 )
 from gausspow.gaussian import MAX_BRUTE_K_BITS, MAX_BRUTE_WORK, GaussianResidue
 from gausspow.moser_search import SEARCH_GUARD
@@ -800,18 +801,26 @@ class TestInputCaps:
             assert str(MAX_BRUTE_WORK) in err
 
     def test_row_density_at_cap(self, capsys):
-        # 10^12 = 2^12 5^12: only p = 3 has p^2 - 1 | k, and every inert prime
-        # to 10^6 is tried
-        code, out, seconds = self.timed(capsys, "density", "nk", "--k", str(MAX_ROW_K))
+        # R(k) is read off the odd divisors of k: 897612484786617600 has the
+        # most divisors below 2^63 (103680), and gives 67 primes from 3 to
+        # 104651
+        k = "897612484786617600"
+        code, out, seconds = self.timed(capsys, "density", "nk", "--k", k)
         assert code == 0
         assert seconds < 1.0
+        assert out.splitlines()[1] == "= 0.4520283105065106927 (truncated)"
+        # 10^12 = 2^12 5^12: only p = 3 has p^2 - 1 | k
+        code, out, _ = run_cli(capsys, "density", "nk", "--k", str(10**12))
+        assert code == 0
         assert out.splitlines()[0] == "7/9"
 
     def test_row_density_above_cap(self, capsys):
-        for k in (MAX_ROW_K + 1, MAX_ROW_K + 8):
-            code, _, err = run_cli(capsys, "density", "nk", "--k", str(k))
+        # 2^63 is a multiple of 8, 2^63 + 7 is odd
+        for k in (MAX_FACTOR_INPUT + 1, MAX_FACTOR_INPUT + 8):
+            code, out, err = run_cli(capsys, "density", "nk", "--k", str(k))
             assert code == 2
-            assert "error" in err
+            assert out == ""
+            assert str(MAX_FACTOR_INPUT) in err
 
     def test_table_at_cap(self, capsys):
         side = str(MAX_TABLE_SIDE)
@@ -835,6 +844,15 @@ class TestInputCaps:
     def test_witness_above_cap(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--n", str(MAX_FACTOR_INPUT + 1))
         assert code == 2
+        assert str(MAX_FACTOR_INPUT) in err
+
+    def test_witness_refusal_names_n(self, capsys):
+        # `witness` takes no k (it evaluates the cell k = n), so its refusal
+        # names n alone
+        code, out, err = run_cli(capsys, "witness", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert re.search(r"\bn\b", err) and not re.search(r"\bk\b", err), err
         assert str(MAX_FACTOR_INPUT) in err
 
     def test_search_at_cap(self, capsys):

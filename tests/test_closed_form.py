@@ -11,7 +11,6 @@ from gausspow import closed_form
 from gausspow.arith import MAX_FACTOR_INPUT, factorize, is_prime
 from gausspow.closed_form import (
     MAX_EXPANSION_K,
-    MAX_ROW_K,
     _expand,
     is_half_epsilon_case,
     row_witness_primes,
@@ -97,6 +96,14 @@ class TestWitnessPrimes:
             with pytest.raises(ValueError):
                 witness_primes(k, 0)
 
+    def test_guards_name_the_argument_at_fault(self):
+        # n is checked first, so the diagonal witness(n, n) names n
+        for k, n in ((0, 0), (-3, -3), (2**63, 2**63)):
+            with pytest.raises(ValueError, match=rf"^n .*{MAX_FACTOR_INPUT}"):
+                witness_primes(k, n)
+        with pytest.raises(ValueError, match="^k "):
+            witness_primes(0, 24)
+
     def test_row_witnesses_are_the_column_witnesses_of_p(self):
         # p witnesses in row k exactly when it witnesses the cell (k, p)
         for k in range(1, 3001):
@@ -110,14 +117,32 @@ class TestWitnessPrimes:
         assert row_witness_primes(999999997920) == (3, 7, 11, 19, 23, 43, 71)
         rng = random.Random(7920)
         ks = [10**12, 999999997920]
-        ks += [7920 * rng.randrange(1, MAX_ROW_K // 7920 + 1) for _ in range(20)]
+        ks += [7920 * rng.randrange(1, 10**12 // 7920 + 1) for _ in range(20)]
         for k in ks:
             assert row_witness_primes(k) == walked_row_witness_primes(k), k
 
+    def test_row_witnesses_need_all_of_p_squared_minus_1(self):
+        # p = 7 has p + 1 = 8 | k, but 48 = p^2 - 1 does not divide k
+        k = 24 * 3386852179
+        assert k % 8 == 0 and k % 48
+        assert row_witness_primes(k) == (3,)
+
+    def test_row_witnesses_of_the_most_divisible_k(self):
+        # the k below 2^63 with the most divisors, 103680: a walk to
+        # sqrt(k + 1), about 9.5e8, is too slow to compare with, so each
+        # prime is checked as the cell (k, p)
+        k = 897612484786617600
+        primes = row_witness_primes(k)
+        assert (len(primes), primes[0], primes[-1]) == (67, 3, 104651)
+        for p in primes:
+            assert witness_primes(k, p) == (p,), p
+
     def test_row_witness_guards(self):
-        assert row_witness_primes(MAX_ROW_K) == (3,)
-        for k in (0, MAX_ROW_K + 1):
-            with pytest.raises(ValueError):
+        assert row_witness_primes(10**12) == (3,)
+        assert row_witness_primes(MAX_FACTOR_INPUT) == ()
+        # 2^63 is a multiple of 8, 2^63 + 1 is not
+        for k in (0, MAX_FACTOR_INPUT + 1, MAX_FACTOR_INPUT + 2):
+            with pytest.raises(ValueError, match=str(MAX_FACTOR_INPUT)):
                 row_witness_primes(k)
 
 
@@ -172,8 +197,8 @@ class TestClosedRow:
     @settings(max_examples=25, deadline=None)
     @given(
         k=st.one_of(
-            st.integers(1, MAX_ROW_K),
-            st.integers(1, MAX_ROW_K // 7920).map(lambda m: 7920 * m),
+            st.integers(1, MAX_FACTOR_INPUT),
+            st.integers(1, MAX_FACTOR_INPUT // 7920).map(lambda m: 7920 * m),
         ),
         n_max=st.integers(1, 300),
     )
@@ -183,7 +208,7 @@ class TestClosedRow:
         ]
 
     def test_guards(self):
-        for k in (0, MAX_ROW_K + 1):
+        for k in (0, MAX_FACTOR_INPUT + 1):
             with pytest.raises(ValueError):
                 sigma_closed_row(k, 5)
         with pytest.raises(ValueError):

@@ -122,7 +122,8 @@ TRACED_CALLS = [
     (["sigma", "--k", "3", "--n", "10", "--method", "expansion"],
      {"closed_form.sigma_expansion", "arith.factorize"}),
     (["witness", "--n", "24"], {"congruence_sets.diagonal_witness"}),
-    (["density", "nk", "--k", "8"], {"density.zero_row_density", "arith.decimal_render"}),
+    (["density", "nk", "--k", "8"],
+     {"density.zero_row_density", "arith.factorize", "arith.decimal_render"}),
     (["density", "m", "--primes", "4"],
      {"density.diagonal_bracket", "density.union_density"}),
     (["em-search", "--kmax", "5", "--mmax", "5"], {"moser_search.search_solutions"}),
