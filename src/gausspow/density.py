@@ -24,6 +24,7 @@ denominator, so every endpoint is exact or rounded outward.
 from __future__ import annotations
 
 from bisect import bisect_right
+from decimal import Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd, lcm, prod
@@ -51,8 +52,12 @@ TAIL_REMAINDER_MIN_LIMIT = 10**6
 
 # Common denominator of `rounded_tail`.  The 2e7 sieve cap admits 635,435
 # terms, so the rounding adds less than 1e-234, far below the MAX_DIGITS = 200
-# digits `decimal_render` can print.
+# digits `decimal_render` can print.  `rounded_tail` divides and sums in
+# `decimal` at 245 digits: a quotient has at most 239 (the least divisor is
+# 3^2 * 4 = 36) and 635,435 terms add at most 6, so every step is exact, and
+# the traps raise on any rounding instead of passing it on.
 TAIL_SCALE = 10**240
+_TAIL_CONTEXT = Context(prec=245, traps=[Inexact, Rounded, InvalidOperation])
 
 
 def zero_row_density(k: int) -> Fraction:
@@ -160,10 +165,16 @@ def tail_bound(p_min: int, p_limit: int) -> Fraction:
 def rounded_tail(p_min: int, p_limit: int) -> Fraction:
     """Upper bound for `tail_bound`: each term rounded up to a multiple of
     1/TAIL_SCALE, so the excess is below (number of terms) / TAIL_SCALE.
-    ceil(S/d) = (S-1)//d + 1 for S, d >= 1, the +1s summed as len(primes)."""
+    ceil(S/d) = (S-1)//d + 1 for S, d >= 1, the +1s summed as len(primes).
+    The floors are exact `decimal` integer divisions: the 240-digit dividend
+    divided by a one-word divisor (below 10^19, p up to about 2.15e6) is one
+    short pass in libmpdec, faster than `int`'s general long division."""
     primes = _tail_primes(p_min, p_limit)
-    ceilings = sum((TAIL_SCALE - 1) // (p * p * (p + 1)) for p in primes) + len(primes)
-    return Fraction(ceilings, TAIL_SCALE)
+    dividend = Decimal(TAIL_SCALE - 1)
+    with localcontext(_TAIL_CONTEXT):
+        # the sum too: in the caller's context it could round
+        floors = sum(dividend // (p * p * (p + 1)) for p in primes)
+    return Fraction(int(floors) + len(primes), TAIL_SCALE)
 
 
 class DiagonalBracket(Record):

@@ -1,5 +1,6 @@
 """Exact density machinery: closed products, inclusion-exclusion, sieve oracle."""
 
+import decimal
 import random
 import time
 import tracemalloc
@@ -420,13 +421,38 @@ class TestTailBound:
         exact = tail_bound(p_min, p_limit)
         assert exact <= rounded_tail(p_min, p_limit) <= exact + Fraction(count, TAIL_SCALE)
 
+    @staticmethod
+    def _int_ceilings(p_min, p_limit):
+        primes = [p for p in inert_primes_up_to(p_limit) if p > p_min]
+        return Fraction(sum(-(-TAIL_SCALE // (p * p * (p + 1))) for p in primes), TAIL_SCALE)
+
+    # (2_100_000, 2_250_000) straddles p^2 (p + 1) = 10^19, where the decimal
+    # divisor grows from one word to two
     @pytest.mark.parametrize(
-        "p_min, p_limit", [(3, 4), (3, 7), (263, 10**4), (9000, 9100), (10**5, 2 * 10**5)]
+        "p_min, p_limit",
+        [
+            (3, 4),
+            (3, 7),
+            (263, 10**4),
+            (9000, 9100),
+            (10**5, 2 * 10**5),
+            (2_100_000, 2_250_000),
+        ],
     )
     def test_rounded_tail_is_the_sum_of_ceilings(self, p_min, p_limit):
-        primes = [p for p in inert_primes_up_to(p_limit) if p > p_min]
-        ceilings = sum(-(-TAIL_SCALE // (p * p * (p + 1))) for p in primes)
-        assert rounded_tail(p_min, p_limit) == Fraction(ceilings, TAIL_SCALE)
+        assert rounded_tail(p_min, p_limit) == self._int_ceilings(p_min, p_limit)
+
+    def test_rounded_tail_ignores_the_callers_decimal_context(self):
+        # at 5 digits with rounding untrapped, a sum taken in the caller's
+        # context would round silently
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.InvalidOperation] = False
+            ctx.clear_flags()
+            before = (ctx.prec, dict(ctx.traps), dict(ctx.flags))
+            assert rounded_tail(263, 10**4) == self._int_ceilings(263, 10**4)
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
 
     def test_merge_sum_helper(self):
         terms = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(2, 9)]
