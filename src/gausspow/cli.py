@@ -35,14 +35,15 @@ EPSILON_LEGEND = "ϵ := (1 + i)"
 
 # Largest kmax * nmax * (kmax + nmax) `verify` accepts, twice the step count
 # of its two sweeps: the brute sweep takes about kmax * nmax^2 / 2 exact
-# steps, the expansion sweep kmax^2 * nmax / 2 products of a binomial and two
-# power sums, and the closed column one row per row class.  It holds nmax to
-# 499 at kmax = 1 and kmax to 499 at nmax = 1, below `MAX_EXPANSION_K`.  On a
-# shared 2-core x86 host with Python 3.11.7, in the three routes (best of 3
-# to 5): the shapes on the bound from 1 x 499 to 48 x 52 take 31-46 ms, two
-# thirds or more of it the brute sweep; 30 x 75, the slowest shape of the
-# earlier bound kmax * nmax * (kmax + nmax)^2 <= 2.5e7, takes 36-40 ms; and
-# 499 x 1 about 18 ms, nearly all of it the expansion sweep.
+# steps, the expansion sweep kmax^2 * nmax / 2 terms of a binomial and two
+# power sums (of which it multiplies at most half, once per mirror pair), and
+# the closed column one row per row class.  It holds nmax to 499 at kmax = 1
+# and kmax to 499 at nmax = 1, below `MAX_EXPANSION_K`.  On a shared 2-core
+# x86 host with Python 3.11.7, in the three routes (best of 9): the shapes
+# on the bound from 1 x 499 to 48 x 52 take 25-32 ms, four fifths or more of
+# it the brute sweep; 30 x 75, the slowest shape of the earlier bound
+# kmax * nmax * (kmax + nmax)^2 <= 2.5e7, takes 30-32 ms; and 499 x 1 about
+# 8 ms, nearly all of it the expansion sweep building Pascal's rows.
 MAX_VERIFY_WORK = 250_000
 
 # Largest kmax and nmax `table` accepts.  Rows 1..500 fall into 7 row classes,

@@ -27,9 +27,12 @@ sums S_m(n), read from von Staudt's sum (`power_sums.s_mod_closed_row`).
 `power_sums.s_mod_naive` the literal oracle of the power sums.  The two
 routes here share only `factorize`.  `_expand` writes the expansion of one
 cell once, from one row of binomials C(k, 0..k) and S_0(n)..S_k(n) mod n.
-`sigma_expansion` builds the one row of binomials it needs by
-C(k, j + 1) = C(k, j)(k - j)/(j + 1); `sigma_expansion_sweep` gives the rows
-of every n up to n_max in one pass, building each Pascal row once.
+Its terms come in mirror pairs, and von Staudt's sum leaves many S_m(n) at
+0 (S_0(n) always, every odd m when n is odd), so it multiplies each pair
+once and only where both power sums are nonzero: about a sixth of the terms
+over the 48 x 48 box.  `sigma_expansion` builds the one row of binomials it
+needs by C(k, j + 1) = C(k, j)(k - j)/(j + 1); `sigma_expansion_sweep` gives
+the rows of every n up to n_max in one pass, building each Pascal row once.
 `cli.cmd_verify` checks its rows against `gaussian.sigma_brute_sweep`, the
 brute rows in one pass, and against one closed row per row class.
 """
@@ -37,7 +40,7 @@ brute rows in one pass, and against one closed row per row class.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add
 
 from .arith import MAX_FACTOR_INPUT, factorize, is_prime
@@ -46,12 +49,13 @@ from .power_sums import s_mod_closed_row
 
 # Largest k `sigma_expansion` accepts (k_max for `sigma_expansion_sweep`); n
 # may be anything `factorize` takes.  One cell builds k + 1 exact binomials,
-# reads S_0(n)..S_k(n) from one factorization of n and expands: about 0.5 ms
-# at k = 1000, 0.3 ms of it the binomials, or 13 ms at the n whose odd part
-# Brent's rho splits, 8 * 1073741783 * 1073741789 (best of 5 on a 2-core x86
-# Xeon host with Python 3.11.7).  The sweep expands every cell of its box,
-# about k_max^2 n_max / 2 products, so `cli.cmd_verify` bounds it far below
-# this cap.
+# reads S_0(n)..S_k(n) from one factorization of n and expands: 0.3-0.5 ms
+# at k = 1000, 0.3 ms of it the binomials and at most 0.15 ms the expansion,
+# or 11.5 ms at the n whose odd part Brent's rho splits,
+# 8 * 1073741783 * 1073741789 (best of 30 on a 2-core x86 Xeon host with
+# Python 3.11.7).  The sweep expands every cell of its box, up to about
+# k_max^2 n_max / 4 products, so `cli.cmd_verify` bounds it far below this
+# cap.
 MAX_EXPANSION_K = 1000
 
 
@@ -157,10 +161,19 @@ def sigma_expansion_sweep(n_max: int, k_max: int) -> list[list[GaussianResidue]]
 def _expand(binomials: list[int], s: list[int], n: int) -> GaussianResidue:
     """The expansion of cell (k, n) from binomials = C(k, 0..k) and s[m] =
     S_m(n) mod n for m <= k: t_j = C(k, j) S_j S_{k-j} goes to Re or Im, + or
-    -, by j mod 4."""
+    -, by j mod 4.  t_{k-j} = t_j, so each term is formed once, for j <= k/2
+    with S_j and S_{k-j} both nonzero, and goes to the classes of j and of
+    k - j, the middle term j = k/2 to its own once."""
     k = len(binomials) - 1
-    t = [c * x * y for c, x, y in zip(binomials, s, s[k::-1])]
-    return GaussianResidue(sum(t[0::4]) - sum(t[2::4]), sum(t[1::4]) - sum(t[3::4]), n)
+    acc = [0, 0, 0, 0]  # the sums of t_j over j = 0, 1, 2, 3 (mod 4)
+    for j in compress(range(k // 2 + 1), s):
+        y = s[k - j]
+        if y:
+            t = binomials[j] * s[j] * y
+            acc[j & 3] += t
+            if j + j != k:
+                acc[(k - j) & 3] += t
+    return GaussianResidue(acc[0] - acc[2], acc[1] - acc[3], n)
 
 
 def _check_expansion(k: int, n: int) -> None:

@@ -276,6 +276,19 @@ class TestExpansionRoute:
                 c = comb_row(k)
                 assert _expand(c, s, n) == binomial_expansion(c, n, s), (k, n)
 
+    def test_rows_match_oracle_on_sparse_sums(self):
+        # `_expand` forms t_j = t_{k-j} once, and only where S_j and S_{k-j}
+        # are both nonzero.  Mostly zero s with S_0, S_{k/2} and S_k nonzero
+        # hold the end pair (0, k), the middle term and pairs past a zero.
+        rng = random.Random(39)
+        for n in (5, 12, 97, 1000):
+            for k in range(1, 61):
+                s = [0] * (k + 1)
+                for m in (0, k // 2, k, *rng.sample(range(k + 1), k // 8)):
+                    s[m] = rng.randrange(1, n)
+                c = comb_row(k)
+                assert _expand(c, s, n) == binomial_expansion(c, n, s), (k, n)
+
     def test_last_row_at_cap_matches_summed_oracle(self):
         # n = 1000 was the cap on n while the power sums were summed
         k, n = MAX_EXPANSION_K, 1000
