@@ -51,7 +51,7 @@ from .power_sums import s_mod_closed_row
 # may be anything `factorize` takes.  One cell builds k + 1 exact binomials,
 # reads S_0(n)..S_k(n) from one factorization of n and expands: 0.3-0.5 ms
 # at k = 1000, 0.3 ms of it the binomials and at most 0.15 ms the expansion,
-# or 11.5 ms at the n whose odd part Brent's rho splits,
+# or about 18 ms at the n whose odd part Brent's rho splits,
 # 8 * 1073741783 * 1073741789 (best of 30 on a 2-core x86 Xeon host with
 # Python 3.11.7).  The sweep expands every cell of its box, up to about
 # k_max^2 n_max / 4 products, so `cli.cmd_verify` bounds it far below this

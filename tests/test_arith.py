@@ -156,7 +156,9 @@ class TestFactorize:
         # every p^e below 2^63 for p < 3000: alone, next to one or two of the
         # twelve Miller-Rabin primes (2, 3, 35), and next to two primes above
         # them (1763 = 41 * 43); the powers of primes above 37 are where
-        # Brent's rho overshoots to n, is replayed, and moves on to the next c
+        # Brent's rho can close its cycle mod n itself, so that gcd(x - y, n)
+        # is n, and move on to the next c: 41^2 needs c = 3 (as 53 * 107,
+        # among the n below 10^5 above, needs c = 2)
         cofactors = {c: trial_factorize(c) for c in (1, 2, 3, 35, 1763)}
         for p in filter(oracle_is_prime, range(2, 3000)):
             for c, c_pairs in cofactors.items():
